@@ -46,6 +46,7 @@ from .engine import (
     EnvelopeCurve,
     GridSpec,
     NearZeroDenominatorError,
+    NonFiniteValueError,
     ProblemSpec,
     Tolerances,
     Verdict,

@@ -1,8 +1,9 @@
 """Command-line front end: load a problem file, verify it, emit artifacts.
 
 Exit codes: 0 = BF_SOLUTION (or a clean ``validate``), 1 = some check failed,
-2 = input or usage error.  ``BF_VERIFY_THREADS`` (a positive integer) caps the
-number of parallel evaluation workers; results do not depend on it.
+2 = input or usage error.  ``BF_VERIFY_THREADS`` is still accepted and must be a
+positive integer when set, but it no longer changes anything: the engine makes
+one single-threaded pass per expression.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .engine import BF_SOLUTION, NearZeroDenominatorError, Verdict, compute_curves, verify
+from .engine import (
+    BF_SOLUTION,
+    NearZeroDenominatorError,
+    NonFiniteValueError,
+    Verdict,
+    compute_curves,
+    verify,
+)
 from .expr import EvalError
 from .io import ProblemFormatError, emit_curves, emit_report, load_problem
 
@@ -47,17 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers_from_env() -> int | None:
+def _check_threads_env() -> None:
     raw = os.environ.get("BF_VERIFY_THREADS")
     if raw is None:
-        return None
+        return
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
         raise ProblemFormatError("", f"BF_VERIFY_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _print_verdict(verdict: Verdict) -> None:
@@ -90,14 +97,16 @@ def _apply_overrides(problem, args):
     return replace(problem, grid=grid, tolerances=tolerances)
 
 
-def _cmd_check(args, workers) -> int:
+def _cmd_check(args) -> int:
     problem = _apply_overrides(load_problem(args.file), args)
-    verdict = verify(problem, workers=workers)
+    verdict = verify(problem)
     _print_verdict(verdict)
     if args.report:
         emit_report(verdict, args.report)
     if args.curves:
-        emit_curves(compute_curves(problem, workers=workers), args.curves)
+        if verdict.curves_error is not None:
+            raise verdict.curves_error
+        emit_curves(verdict.curves, args.curves)
     return 0 if verdict.outcome == BF_SOLUTION else 1
 
 
@@ -107,9 +116,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_curves(args, workers) -> int:
+def _cmd_curves(args) -> int:
     problem = load_problem(args.file)
-    emit_curves(compute_curves(problem, workers=workers), args.out)
+    emit_curves(compute_curves(problem), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -121,13 +130,14 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed usage/diagnostics
         return int(exc.code or 0)
     try:
-        workers = _workers_from_env()
+        _check_threads_env()
         if args.command == "check":
-            return _cmd_check(args, workers)
+            return _cmd_check(args)
         if args.command == "validate":
             return _cmd_validate(args)
-        return _cmd_curves(args, workers)
-    except (OSError, ProblemFormatError, ValueError, EvalError, NearZeroDenominatorError) as err:
+        return _cmd_curves(args)
+    except (OSError, ProblemFormatError, ValueError, EvalError, NearZeroDenominatorError,
+            NonFiniteValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -18,25 +18,29 @@ and boundary conditions.
 
 Envelope strategy
 -----------------
-Each parameter's partial of G is probed at the box center and at every box
-corner.  If no parameter shows strictly opposite signs across those probes,
-the extremum is attained at a corner and the envelope is the exact min/max of
-the corner values (ties between corners are re-broken by probing the tied
-corners at a point nudged slightly into the domain interior, which keeps the
-corner selection consistent with the envelope's one-sided derivative at
-boundary samples).  Otherwise the sample falls back to dense sampling of the
-box, is flagged approximate, and its Gamma values are later computed by
-central finite differences of the envelope instead of the symbolic partials.
-Checks that consume approximate samples run at a widened tolerance
-(``FALLBACK_TOL``) because the fallback route carries sampling plus O(h^2)
-noise that the fully symbolic route does not.
+Each alpha slice of the grid is visited once per expression.  For G, that one
+visit serves the structure check, the Y envelope and the Gamma curves: G and
+dG/dx2 are evaluated at every cut-box corner once, and each parameter's partial
+of G is probed at the box center and at every box corner once.  If no
+parameter shows strictly opposite signs across those probes, the extremum is
+attained at a corner and the envelope is the exact min/max of the corner
+values; Gamma then substitutes the extremal corner into the symbolic partials
+(ties between corners are re-broken by probing the tied corners at a point
+nudged slightly into the domain interior, which keeps the corner selection
+consistent with the envelope's one-sided derivative at boundary samples).
+Otherwise the sample falls back to dense sampling of the box, is flagged
+approximate, and its Gamma values are computed by central finite differences
+of the envelope instead of the symbolic partials.  Checks that consume
+approximate samples run at a widened tolerance (``FALLBACK_TOL``) because the
+fallback route carries sampling plus O(h^2) noise that the fully symbolic route
+does not.  A NaN or infinite corner value, envelope or Gamma value at a
+feasible sample is reported as structure evidence with its location, never
+passed on to the checks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +87,15 @@ class NearZeroDenominatorError(ArithmeticError):
             f"near-zero envelope denominator |dY/dx2| = {abs(value):.3e} "
             f"at (x1={x1:g}, x2={x2:g}, alpha={alpha:g})"
         )
+        self.location = (x1, x2, alpha)
+        self.value = value
+
+
+class NonFiniteValueError(ArithmeticError):
+    """A value some check consumes was NaN or infinite at a feasible grid sample."""
+
+    def __init__(self, what: str, x1: float, x2: float, alpha: float, value: float):
+        super().__init__(f"non-finite {what} = {value!r} at (x1={x1:g}, x2={x2:g}, alpha={alpha:g})")
         self.location = (x1, x2, alpha)
         self.value = value
 
@@ -246,13 +259,20 @@ class CheckReport:
 
 @dataclass
 class Verdict:
-    """Decision outcome plus the per-check diagnostics that produced it."""
+    """Decision outcome plus the per-check diagnostics that produced it.
+
+    ``curves`` holds the Y, F and GAMMA curves the checks consumed, in that
+    order; when one of them could not be computed it is None and
+    ``curves_error`` is the error :func:`compute_curves` would raise.
+    """
 
     outcome: str
     checks: list[CheckReport]
     problem_name: str
     grid: GridSpec
     tolerances: Tolerances
+    curves: list[EnvelopeCurve] | None = field(default=None, compare=False, repr=False)
+    curves_error: Exception | None = field(default=None, compare=False, repr=False)
 
     def report(self, name: str) -> CheckReport:
         for check in self.checks:
@@ -291,28 +311,6 @@ def _cut_arrays(params: FuzzyVector, alpha: float) -> tuple[np.ndarray, np.ndarr
     return np.array([c.lo for c in cuts]), np.array([c.hi for c in cuts])
 
 
-def _run_alpha_slices(work: Callable[[int], None], n_alpha: int, workers: int) -> None:
-    """Run per-alpha slice jobs; results land in caller-owned arrays by index,
-    so scheduling order cannot change the output.  Errors are re-raised for
-    the smallest alpha index regardless of worker count."""
-    if workers <= 1:
-        for ki in range(n_alpha):
-            work(ki)
-        return
-    errors: dict[int, BaseException] = {}
-
-    def guarded(ki: int) -> None:
-        try:
-            work(ki)
-        except BaseException as exc:  # noqa: BLE001 - re-raised deterministically below
-            errors[ki] = exc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(guarded, range(n_alpha)))
-    if errors:
-        raise errors[min(errors)]
-
-
 # --- envelope core -----------------------------------------------------------
 
 def _as_mesh(value, shape) -> np.ndarray:
@@ -346,6 +344,86 @@ def _corner_binding(base: dict, names, los, his, c: int) -> dict:
     return binding
 
 
+def _corner_values(exprs, names, los, his, base: dict, shape) -> list[np.ndarray]:
+    """Each expression at every cut-box corner, as a ``(2^k,) + shape`` array.
+
+    Corner index c has bit j set when parameter j sits at its upper cut end.
+    """
+    out = [np.empty((2 ** len(names),) + tuple(shape)) for _ in exprs]
+    for c in range(2 ** len(names)):
+        binding = _corner_binding(base, names, los, his, c)
+        for values, expr in zip(out, exprs):
+            values[c] = _as_mesh(evaluate(expr, binding), shape)
+    return out
+
+
+def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
+    """Samples whose extremum may lie inside the box: some parameter's partial
+    takes strictly opposite signs across the box center and corners."""
+    k = len(names)
+    fallback = np.zeros(shape, dtype=bool)
+    if k > CORNER_PARAM_LIMIT:
+        fallback[...] = True
+        return fallback
+    center = dict(base)
+    for j, name in enumerate(names):
+        center[name] = 0.5 * (los[j] + his[j])
+    probes = [center] + [_corner_binding(base, names, los, his, c) for c in range(2**k)]
+    for j in range(k):
+        if his[j] == los[j] or not free_variables(partials[j]) & set(names):
+            continue  # degenerate axis, or a partial that takes one value at every probe
+        has_pos = np.zeros(shape, dtype=bool)
+        has_neg = np.zeros(shape, dtype=bool)
+        for probe in probes:
+            d = _as_mesh(evaluate(partials[j], probe), shape)
+            has_pos |= d > 0.0
+            has_neg |= d < 0.0
+        fallback |= has_pos & has_neg
+    return fallback
+
+
+def _corner_envelope(values: np.ndarray | None, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max over the corner values; NaN placeholders when there are none."""
+    if values is None:
+        return np.full(shape, np.nan), np.full(shape, np.nan)
+    return values.min(axis=0), values.max(axis=0)
+
+
+def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper, m=FALLBACK_BOX_SAMPLES) -> None:
+    """Overwrite the envelope at fallback samples with the dense-lattice extremes."""
+    if not fallback.any():
+        return
+    idx = np.nonzero(fallback)
+    w = _eval_box(expr, names, _box_lattice(los, his, m), _as_mesh(X1, shape)[idx], _as_mesh(X2, shape)[idx])
+    lower[idx] = w.min(axis=1)
+    upper[idx] = w.max(axis=1)
+
+
+def _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fallback):
+    """Bitmask indices of the corners attaining the corner envelope, -1 at
+    fallback samples (and everywhere when the corners were not enumerated)."""
+    if values is None:
+        none = np.full(fallback.shape, -1, dtype=np.int64)
+        return none, none
+    at_lo = values == lower
+    at_hi = values == upper
+    if (at_lo.sum(axis=0) > 1).any() or (at_hi.sum(axis=0) > 1).any():
+        # several corners attain the extremum (e.g. the partial vanishes
+        # along an axis); keep the corner that is extremal at a probe
+        # point nudged into the domain interior, so the symbolic Gamma
+        # matches the envelope's one-sided derivative
+        X1n, X2n = nudged
+        (probed,) = _corner_values((expr,), names, los, his, {"x1": X1n, "x2": X2n}, fallback.shape)
+        corner_lo = np.where(at_lo, probed, np.inf).argmin(axis=0)
+        corner_hi = np.where(at_hi, probed, -np.inf).argmax(axis=0)
+    else:
+        corner_lo = values.argmin(axis=0)
+        corner_hi = values.argmax(axis=0)
+    corner_lo[fallback] = -1
+    corner_hi[fallback] = -1
+    return corner_lo, corner_hi
+
+
 def _mesh_envelope(
     expr: Expression,
     partials: list[Expression],
@@ -355,85 +433,21 @@ def _mesh_envelope(
     X1,
     X2,
     shape: tuple[int, ...],
-    nudged: tuple[np.ndarray, np.ndarray] | None = None,
     m_fallback: int = FALLBACK_BOX_SAMPLES,
 ):
     """Envelope of ``expr`` over the parameter box at every mesh sample.
 
-    Returns ``(lower, upper, corner_lo, corner_hi, fallback)``.  The corner
-    arrays are bitmask indices of the extremal corners (bit j set = parameter j
-    at its upper cut end) and are only produced when ``nudged`` probe
-    coordinates are supplied; fallback samples carry corner index -1.
+    Returns ``(lower, upper, fallback)``; fallback samples take their envelope
+    from the dense lattice instead of the box corners.
     """
-    k = len(names)
     base = {"x1": X1, "x2": X2}
-    widths = his - los
-    want_corners = nudged is not None
-
-    fallback = np.zeros(shape, dtype=bool)
-    if k > CORNER_PARAM_LIMIT:
-        fallback[...] = True
-    else:
-        mids = 0.5 * (los + his)
-        center = dict(base)
-        for j, name in enumerate(names):
-            center[name] = mids[j]
-        for j in range(k):
-            if widths[j] == 0.0:
-                continue  # degenerate axis: corners coincide, sign is irrelevant
-            has_pos = np.zeros(shape, dtype=bool)
-            has_neg = np.zeros(shape, dtype=bool)
-            probes = [center] + [_corner_binding(base, names, los, his, c) for c in range(2**k)]
-            for probe in probes:
-                d = _as_mesh(evaluate(partials[j], probe), shape)
-                has_pos |= d > 0.0
-                has_neg |= d < 0.0
-            fallback |= has_pos & has_neg
-
-    lower = np.full(shape, np.nan)
-    upper = np.full(shape, np.nan)
-    corner_lo = np.full(shape, -1, dtype=np.int64)
-    corner_hi = np.full(shape, -1, dtype=np.int64)
-
-    if k <= CORNER_PARAM_LIMIT:
-        corners = 2**k
-        values = np.empty((corners,) + tuple(shape))
-        for c in range(corners):
-            values[c] = _as_mesh(evaluate(expr, _corner_binding(base, names, los, his, c)), shape)
-        lower = values.min(axis=0)
-        upper = values.max(axis=0)
-        if want_corners:
-            lo_tied = (values == lower).sum(axis=0) > 1
-            hi_tied = (values == upper).sum(axis=0) > 1
-            if lo_tied.any() or hi_tied.any():
-                # several corners attain the extremum (e.g. the partial vanishes
-                # along an axis); keep the corner that is extremal at a probe
-                # point nudged into the domain interior, so the symbolic Gamma
-                # matches the envelope's one-sided derivative
-                X1n, X2n = nudged
-                probed = np.empty_like(values)
-                for c in range(corners):
-                    probed[c] = _as_mesh(
-                        evaluate(expr, _corner_binding({"x1": X1n, "x2": X2n}, names, los, his, c)), shape
-                    )
-                corner_lo = np.where(values == lower, probed, np.inf).argmin(axis=0)
-                corner_hi = np.where(values == upper, probed, -np.inf).argmax(axis=0)
-            else:
-                corner_lo = values.argmin(axis=0)
-                corner_hi = values.argmax(axis=0)
-
-    if fallback.any():
-        idx = np.nonzero(fallback)
-        x1f = _as_mesh(X1, shape)[idx]
-        x2f = _as_mesh(X2, shape)[idx]
-        lattice = _box_lattice(los, his, m_fallback)
-        w = _eval_box(expr, names, lattice, x1f, x2f)
-        lower[idx] = w.min(axis=1)
-        upper[idx] = w.max(axis=1)
-        corner_lo[idx] = -1
-        corner_hi[idx] = -1
-
-    return lower, upper, corner_lo, corner_hi, fallback
+    fallback = _sign_fallback(partials, names, los, his, base, shape)
+    values = None
+    if len(names) <= CORNER_PARAM_LIMIT:
+        (values,) = _corner_values((expr,), names, los, his, base, shape)
+    lower, upper = _corner_envelope(values, shape)
+    _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper, m_fallback)
+    return lower, upper, fallback
 
 
 def _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds):
@@ -449,6 +463,25 @@ def _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds):
     return X1n, X2n
 
 
+def _non_finite(arrays: dict, feas: np.ndarray, X1, X2, alpha: float) -> NonFiniteValueError | None:
+    """The error for the first feasible sample, in sample order, where one of
+    the named ``(...,) + feas.shape`` arrays is NaN or infinite; None if there
+    is none.  ``X1`` and ``X2`` broadcast to the sample coordinates."""
+    finite = [np.isfinite(a).reshape((-1,) + feas.shape).all(axis=0) for a in arrays.values()]
+    bad = feas & ~np.logical_and.reduce(finite)
+    if not bad.any():
+        return None
+    pos = tuple(np.argwhere(bad)[0])
+    x1 = float(np.broadcast_to(X1, feas.shape)[pos])
+    x2 = float(np.broadcast_to(X2, feas.shape)[pos])
+    for what, a in arrays.items():
+        column = np.ravel(a[(...,) + pos])
+        off = column[~np.isfinite(column)]
+        if off.size:
+            return NonFiniteValueError(what, x1, x2, alpha, float(off[0]))
+    raise AssertionError("a non-finite sample has a non-finite value")
+
+
 def envelope(
     expr: Expression,
     params: FuzzyVector,
@@ -460,83 +493,75 @@ def envelope(
     """(min, max) of ``expr`` over the parameter cut box at one (x1, x2, alpha)."""
     partials = [differentiate(expr, name) for name in params.names]
     los, his = _cut_arrays(params, alpha)
-    lower, upper, _, _, _ = _mesh_envelope(
+    lower, upper, _ = _mesh_envelope(
         expr, partials, params.names, los, his, np.float64(x1), np.float64(x2), (1,),
         m_fallback=m_fallback,
     )
     return float(lower[0]), float(upper[0])
 
 
-def envelope_curve(
+# --- the alpha-slice pass ----------------------------------------------------
+
+@dataclass
+class _AlphaPass:
+    """What one pass over the alpha slices of an expression produced.
+
+    A curve is None when it could not be computed; its error field then holds
+    the first error, in alpha order, that computing that curve alone raises.
+    """
+
+    envelope: EnvelopeCurve | None = None
+    envelope_error: Exception | None = None
+    gamma: EnvelopeCurve | None = None
+    gamma_error: Exception | None = None
+    structure: CheckReport | None = None
+
+
+def _result(curve: EnvelopeCurve | None, error: Exception | None) -> EnvelopeCurve:
+    if error is not None:
+        raise error
+    return curve
+
+
+def _alpha_pass(
     expr: Expression,
     params: FuzzyVector,
     box: DomainBox,
     grid: GridSpec,
-    role: str,
-    workers: int = 1,
-) -> EnvelopeCurve:
-    """Sample the envelope of ``expr`` over the whole (x1, x2, alpha) grid."""
-    x1p, x2p, alphas = grid_axes(box, grid)
-    X1, X2 = x1p[:, None], x2p[None, :]
-    shape = (grid.n_x1, grid.n_x2)
-    partials = [differentiate(expr, name) for name in params.names]
-
-    lower = np.empty(shape + (grid.n_alpha,))
-    upper = np.empty_like(lower)
-    approx = np.zeros(shape + (grid.n_alpha,), dtype=bool)
-
-    def work(ki: int) -> None:
-        los, his = _cut_arrays(params, float(alphas[ki]))
-        lo, up, _, _, fb = _mesh_envelope(expr, partials, params.names, los, his, X1, X2, shape)
-        lower[:, :, ki] = lo
-        upper[:, :, ki] = up
-        approx[:, :, ki] = fb
-
-    _run_alpha_slices(work, grid.n_alpha, workers)
-    feas = feasible_mask(box, X1, X2, shape)
-    return EnvelopeCurve(role, x1p, x2p, alphas, lower, upper, approx, feas)
-
-
-# --- Gamma curves ------------------------------------------------------------
-
-def _first_true_location(mask: np.ndarray, x1f, x2f, alpha: float, values: np.ndarray):
-    pos = int(np.argmax(mask))
-    return (float(x1f[pos]), float(x2f[pos]), float(alpha)), float(values[pos])
-
-
-def gamma_curves(
-    g: Expression,
-    params: FuzzyVector,
-    box: DomainBox,
-    grid: GridSpec,
+    role: str = ROLE_Y,
     denom_tol: float = DEFAULT_DENOM_TOL,
-    workers: int = 1,
-) -> EnvelopeCurve:
-    """Apply the quotient-of-partials operator to both envelope ends of ``g``.
+    *,
+    with_envelope: bool = True,
+    with_structure: bool = False,
+    with_gamma: bool = False,
+) -> _AlphaPass:
+    """Visit every alpha slice of the grid once and build what was asked for.
 
-    Corner-strategy samples substitute the envelope-selecting corner parameters
-    into the symbolic partials of ``g``; fallback samples use central finite
-    differences of the densely sampled envelope (one-sided at domain edges).
-
-    Raises :class:`NearZeroDenominatorError` when |dY/dx2| < denom_tol at a
-    feasible sample; the caller reports that as structure evidence, since it
-    means the candidate is not strictly monotone in x2 along that envelope end.
+    ``with_envelope``: the envelope curve of ``expr`` under ``role``.
+    ``with_structure``: the structure check, from ``expr`` and its x2-partial
+    at every cut-box corner.  ``with_gamma``: the quotient-of-partials curves
+    of the envelope.  Each slice evaluates the corner values, the sign probes,
+    the corner selection and the dense fallback once for all of them.
+    Evaluation errors of the structure scan are raised at once; the curves'
+    errors are collected in the result instead.
     """
+    names = params.names
+    k = len(names)
+    if with_structure and k > CORNER_PARAM_LIMIT:
+        raise ValueError(f"structure check enumerates box corners; at most {CORNER_PARAM_LIMIT} parameters")
     x1p, x2p, alphas = grid_axes(box, grid)
     X1, X2 = x1p[:, None], x2p[None, :]
     shape = (grid.n_x1, grid.n_x2)
-    names = params.names
-    partials = [differentiate(g, name) for name in names]
-    dg_dx1 = differentiate(g, "x1")
-    dg_dx2 = differentiate(g, "x2")
+    feas = feasible_mask(box, X1, X2, shape)
+    if with_structure and not feas.any():
+        raise ValueError("no grid samples satisfy the domain constraint")
+    base = {"x1": X1, "x2": X2}
+    partials = [differentiate(expr, name) for name in names]
+    dg_dx1 = differentiate(expr, "x1") if with_gamma else None
+    dg_dx2 = differentiate(expr, "x2") if with_gamma or with_structure else None
     x1_bounds = (float(x1p[0]), float(x1p[-1]))
     x2_bounds = (float(x2p[0]), float(x2p[-1]))
-    nudged = _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds)
-    feas = feasible_mask(box, X1, X2, shape)
-
-    gamma_lo = np.empty(shape + (grid.n_alpha,))
-    gamma_hi = np.empty_like(gamma_lo)
-    approx = np.zeros(shape + (grid.n_alpha,), dtype=bool)
+    nudged = _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds) if with_gamma else None
 
     def corner_gamma(corner: np.ndarray, los, his, fb: np.ndarray, alpha: float) -> np.ndarray:
         binding = {"x1": X1, "x2": X2}
@@ -563,7 +588,7 @@ def gamma_curves(
         lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
 
         def env_at(xa, xb):
-            w = _eval_box(g, names, lattice, xa, xb)
+            w = _eval_box(expr, names, lattice, xa, xb)
             return w.min(axis=1), w.max(axis=1)
 
         results = []
@@ -595,27 +620,134 @@ def gamma_curves(
         for den in (den1, den2):
             bad = feas_f & (np.abs(den) < denom_tol)
             if bad.any():
-                (loc, value) = _first_true_location(bad, x1f, x2f, alpha, den)
-                raise NearZeroDenominatorError(loc[0], loc[1], alpha, value)
+                pos = int(np.argmax(bad))
+                raise NearZeroDenominatorError(float(x1f[pos]), float(x2f[pos]), alpha, float(den[pos]))
         with np.errstate(divide="ignore", invalid="ignore"):
             return idx, num1 / den1, num2 / den2
 
-    def work(ki: int) -> None:
+    def slice_gamma(los, his, alpha, lower, upper, fb, corners):
+        g_lo = corner_gamma(corners[0], los, his, fb, alpha)
+        g_hi = corner_gamma(corners[1], los, his, fb, alpha)
+        if fb.any():
+            idx, g1f, g2f = fallback_gamma(fb, los, his, lower, upper, alpha)
+            g_lo[idx] = g1f
+            g_hi[idx] = g2f
+        error = _non_finite({"lower Gamma": g_lo, "upper Gamma": g_hi}, feas, X1, X2, alpha)
+        if error is not None:
+            raise error
+        return g_lo, g_hi
+
+    # alpha-major buffers: every slice lands in one contiguous block
+    planes = (grid.n_alpha,) + shape
+    env_lo, env_hi = np.empty(planes), np.empty(planes)
+    approx = np.zeros(planes, dtype=bool)
+    if with_gamma:
+        gam_lo, gam_hi = np.empty(planes), np.empty(planes)
+    env_err = gam_err = None
+    slots, structure_err = [], None
+
+    for ki in range(grid.n_alpha):
         alpha = float(alphas[ki])
         los, his = _cut_arrays(params, alpha)
-        lo_env, up_env, c_lo, c_hi, fb = _mesh_envelope(
-            g, partials, names, los, his, X1, X2, shape, nudged=nudged
-        )
-        gamma_lo[:, :, ki] = corner_gamma(c_lo, los, his, fb, alpha)
-        gamma_hi[:, :, ki] = corner_gamma(c_hi, los, his, fb, alpha)
-        if fb.any():
-            idx, g1f, g2f = fallback_gamma(fb, los, his, lo_env, up_env, alpha)
-            gamma_lo[:, :, ki][idx] = g1f
-            gamma_hi[:, :, ki][idx] = g2f
-        approx[:, :, ki] = fb
+        values = None
+        if with_structure:
+            values, d2 = _corner_values((expr, dg_dx2), names, los, his, base, shape)
+            finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
+            if structure_err is None and not finite[feas].all():
+                structure_err = _non_finite(
+                    {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}, feas, X1, X2, alpha
+                )
+            slots.append(_structure_slice(values, d2, feas & finite))
+        env_live = with_envelope and env_err is None
+        gamma_live = with_gamma and gam_err is None
+        if not (env_live or gamma_live):
+            continue
+        try:
+            fb = _sign_fallback(partials, names, los, his, base, shape)
+            if values is None and k <= CORNER_PARAM_LIMIT:
+                (values,) = _corner_values((expr,), names, los, his, base, shape)
+        except EvalError as err:
+            env_err, gam_err = env_err or err, gam_err or err
+            continue
+        lower, upper = _corner_envelope(values, shape)
+        if gamma_live:
+            try:
+                corners = _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fb)
+            except EvalError as err:
+                gam_err = err
+        try:
+            _dense_fill(expr, names, los, his, X1, X2, shape, fb, lower, upper)
+        except EvalError as err:
+            env_err, gam_err = env_err or err, gam_err or err
+            continue
+        env_lo[ki], env_hi[ki], approx[ki] = lower, upper, fb
+        if env_live:
+            env_err = _non_finite(
+                {f"lower {role} envelope": lower, f"upper {role} envelope": upper}, feas, X1, X2, alpha
+            )
+        if with_gamma and gam_err is None:
+            try:
+                gam_lo[ki], gam_hi[ki] = slice_gamma(los, his, alpha, lower, upper, fb, corners)
+            except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
+                gam_err = err
 
-    _run_alpha_slices(work, grid.n_alpha, workers)
-    return EnvelopeCurve(ROLE_GAMMA, x1p, x2p, alphas, gamma_lo, gamma_hi, approx, feas)
+    def curve(curve_role, lo, hi):
+        return EnvelopeCurve(curve_role, x1p, x2p, alphas, lo.transpose(1, 2, 0), hi.transpose(1, 2, 0),
+                             approx.transpose(1, 2, 0), feas)
+
+    result = _AlphaPass()
+    if with_envelope:
+        result.envelope_error = env_err
+        if env_err is None:
+            result.envelope = curve(role, env_lo, env_hi)
+    if with_gamma:
+        result.gamma_error = gam_err
+        if gam_err is None:
+            result.gamma = curve(ROLE_GAMMA, gam_lo, gam_hi)
+    if with_structure:
+        result.structure = _structure_report(slots, x1p, x2p, alphas, denom_tol, structure_err)
+    return result
+
+
+def envelope_curve(
+    expr: Expression,
+    params: FuzzyVector,
+    box: DomainBox,
+    grid: GridSpec,
+    role: str,
+) -> EnvelopeCurve:
+    """Sample the envelope of ``expr`` over the whole (x1, x2, alpha) grid.
+
+    Raises :class:`NonFiniteValueError` when the envelope is NaN or infinite at
+    a feasible sample.
+    """
+    result = _alpha_pass(expr, params, box, grid, role)
+    return _result(result.envelope, result.envelope_error)
+
+
+# --- Gamma curves ------------------------------------------------------------
+
+def gamma_curves(
+    g: Expression,
+    params: FuzzyVector,
+    box: DomainBox,
+    grid: GridSpec,
+    denom_tol: float = DEFAULT_DENOM_TOL,
+) -> EnvelopeCurve:
+    """Apply the quotient-of-partials operator to both envelope ends of ``g``.
+
+    Corner-strategy samples substitute the envelope-selecting corner parameters
+    into the symbolic partials of ``g``; fallback samples use central finite
+    differences of the densely sampled envelope (one-sided at domain edges).
+
+    Raises :class:`NearZeroDenominatorError` when |dY/dx2| < denom_tol at a
+    feasible sample; the caller reports that as structure evidence, since it
+    means the candidate is not strictly monotone in x2 along that envelope end.
+    Raises :class:`NonFiniteValueError` when Gamma is NaN or infinite at a
+    feasible sample.
+    """
+    result = _alpha_pass(g, params, box, grid, denom_tol=denom_tol, with_envelope=False, with_gamma=True)
+    return _result(result.gamma, result.gamma_error)
 
 
 # --- checks ------------------------------------------------------------------
@@ -640,65 +772,27 @@ def _fallback_note(widened: bool, tol_eff: float) -> str:
     return f"dense-sampling fallback in effect; tolerance widened to {tol_eff:g}"
 
 
-def check_structure(
-    g: Expression,
-    params: FuzzyVector,
-    box: DomainBox,
-    grid: GridSpec,
-    denom_tol: float = DEFAULT_DENOM_TOL,
-    workers: int = 1,
-) -> CheckReport:
-    """G must be strictly positive, and dG/dx2 must keep one global sign with
-    |dG/dx2| >= denom_tol, at every grid sample and every cut-box corner."""
-    if len(params) > CORNER_PARAM_LIMIT:
-        raise ValueError(f"structure check enumerates box corners; at most {CORNER_PARAM_LIMIT} parameters")
-    x1p, x2p, alphas = grid_axes(box, grid)
-    X1, X2 = x1p[:, None], x2p[None, :]
-    shape = (grid.n_x1, grid.n_x2)
-    feas = feasible_mask(box, X1, X2, shape)
-    dg_dx2 = differentiate(g, "x2")
-    names = params.names
-    base = {"x1": X1, "x2": X2}
+def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
+    """Min of G, min and max of dG/dx2 over one slice's corner values at the
+    masked samples, each with its (i1, i2) position (first in corner, then
+    sample order)."""
 
-    slots = {}  # ki -> (min_g, loc, min_d2, loc, max_d2, loc)
+    def scan(a: np.ndarray, find_min: bool):
+        flat = np.where(mask, a, np.inf if find_min else -np.inf)
+        pos = np.unravel_index(int(flat.argmin() if find_min else flat.argmax()), flat.shape)
+        return float(flat[pos]), pos[1:]
 
-    def scan(values: np.ndarray, find_min: bool):
-        flat = np.where(feas, values, np.inf if find_min else -np.inf)
-        pos = np.unravel_index(int(flat.argmin() if find_min else flat.argmax()), shape)
-        return float(flat[pos]), pos
+    return scan(values, True), scan(d2, True), scan(d2, False)
 
-    def work(ki: int) -> None:
-        alpha = float(alphas[ki])
-        los, his = _cut_arrays(params, alpha)
-        best = None
-        for c in range(2 ** len(names)):
-            binding = _corner_binding(base, names, los, his, c)
-            gv = _as_mesh(evaluate(g, binding), shape)
-            d2 = _as_mesh(evaluate(dg_dx2, binding), shape)
-            g_min, g_pos = scan(gv, find_min=True)
-            d_min, d_min_pos = scan(d2, find_min=True)
-            d_max, d_max_pos = scan(d2, find_min=False)
-            if best is None:
-                best = [g_min, g_pos, d_min, d_min_pos, d_max, d_max_pos]
-            else:
-                if g_min < best[0]:
-                    best[0], best[1] = g_min, g_pos
-                if d_min < best[2]:
-                    best[2], best[3] = d_min, d_min_pos
-                if d_max > best[4]:
-                    best[4], best[5] = d_max, d_max_pos
-        slots[ki] = best
 
-    if not feas.any():
-        raise ValueError("no grid samples satisfy the domain constraint")
-    _run_alpha_slices(work, grid.n_alpha, workers)
-
+def _structure_report(slots, x1p, x2p, alphas, denom_tol: float, error: Exception | None) -> CheckReport:
+    """Fold the per-slice extrema into the structure report; a non-finite
+    corner value (``error``) fails it with its location."""
     g_min, g_loc = np.inf, None
     d_min, d_min_loc = np.inf, None
     d_max, d_max_loc = -np.inf, None
-    for ki in range(grid.n_alpha):
-        gm, gp, dm, dmp, dx, dxp = slots[ki]
-        alpha = float(alphas[ki])
+    for alpha, ((gm, gp), (dm, dmp), (dx, dxp)) in zip(alphas, slots):
+        alpha = float(alpha)
         if gm < g_min:
             g_min, g_loc = gm, (float(x1p[gp[0]]), float(x2p[gp[1]]), alpha)
         if dm < d_min:
@@ -725,7 +819,23 @@ def check_structure(
         worst = max(pos_violation, sign_violation)
         loc = g_loc if pos_violation >= sign_violation else sign_loc
         note = ""
-    return CheckReport("structure", pos_ok and sign_ok, worst, loc, note)
+    report = CheckReport("structure", pos_ok and sign_ok, worst, loc, note)
+    return report if error is None else _structure_evidence(report, error)
+
+
+def check_structure(
+    g: Expression,
+    params: FuzzyVector,
+    box: DomainBox,
+    grid: GridSpec,
+    denom_tol: float = DEFAULT_DENOM_TOL,
+) -> CheckReport:
+    """G must be strictly positive, and dG/dx2 must keep one global sign with
+    |dG/dx2| >= denom_tol, at every grid sample and every cut-box corner.
+    A NaN or infinite corner value fails the check at its location."""
+    return _alpha_pass(
+        g, params, box, grid, denom_tol=denom_tol, with_envelope=False, with_structure=True
+    ).structure
 
 
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
@@ -785,12 +895,11 @@ def check_equality(
     box: DomainBox,
     grid: GridSpec,
     tol: float = DEFAULT_EQ_TOL,
-    workers: int = 1,
     f_curve: EnvelopeCurve | None = None,
 ) -> CheckReport:
     """Gamma must equal the F envelope end-to-end: |Gamma_i - f_i| <= tol*(1+|f_i|)."""
     if f_curve is None:
-        f_curve = envelope_curve(f, params, box, grid, ROLE_F, workers=workers)
+        f_curve = envelope_curve(f, params, box, grid, ROLE_F)
     feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
     resid_lo = np.abs(gamma.lower - f_curve.lower) / (1.0 + np.abs(f_curve.lower))
     resid_hi = np.abs(gamma.upper - f_curve.upper) / (1.0 + np.abs(f_curve.upper))
@@ -811,9 +920,12 @@ def check_boundary(
     box: DomainBox,
     grid: GridSpec,
     tol: float = DEFAULT_EQ_TOL,
-    workers: int = 1,
 ) -> CheckReport:
-    """Candidate envelope must match each target envelope endpoint-wise on its edge."""
+    """Candidate envelope must match each target envelope endpoint-wise on its edge.
+
+    Raises :class:`NonFiniteValueError` when either envelope is NaN or infinite
+    at a feasible edge sample.
+    """
     if not conditions:
         return CheckReport("boundary", True, 0.0, None, "no conditions")
 
@@ -838,8 +950,15 @@ def check_boundary(
 
         for alpha in alphas:
             los, his = _cut_arrays(params, float(alpha))
-            c_lo, c_hi, _, _, fb_c = _mesh_envelope(candidate, cand_partials, names, los, his, X1, X2, shape)
-            t_lo, t_hi, _, _, fb_t = _mesh_envelope(cond.target, target_partials, names, los, his, X1, X2, shape)
+            c_lo, c_hi, fb_c = _mesh_envelope(candidate, cand_partials, names, los, his, X1, X2, shape)
+            t_lo, t_hi, fb_t = _mesh_envelope(cond.target, target_partials, names, los, his, X1, X2, shape)
+            error = _non_finite(
+                {"lower candidate envelope on the boundary": c_lo, "upper candidate envelope on the boundary": c_hi,
+                 "lower target envelope on the boundary": t_lo, "upper target envelope on the boundary": t_hi},
+                feas, X1, X2, float(alpha),
+            )
+            if error is not None:
+                raise error
             any_fb = any_fb or bool(((fb_c | fb_t) & feas).any())
             resid = np.maximum(
                 np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
@@ -867,53 +986,49 @@ def _structure_evidence(previous: CheckReport, err: Exception) -> CheckReport:
     return CheckReport("structure", False, worst, loc, note)
 
 
-def verify(problem: ProblemSpec, workers: int | None = None) -> Verdict:
+def verify(problem: ProblemSpec) -> Verdict:
     """Run the full gate sequence on a problem and assemble the verdict.
 
     Gate order: structure, fuzzy validity of the Y/F envelopes,
     differentiability, equality with F, boundary conditions.  The outcome is
     the first failing gate (or BF_SOLUTION), but every report that could be
-    computed is carried for diagnostics.  Near-zero envelope denominators and
-    expression domain errors surface as structure evidence.
+    computed is carried for diagnostics.  Near-zero envelope denominators,
+    non-finite values and expression domain errors surface as structure
+    evidence.  Structure, Y and Gamma come from one pass over the alpha slices
+    of G; F has its own.
     """
-    workers = int(workers) if workers else 1
-    x1p, x2p, _ = grid_axes(problem.box, problem.grid)
-    feas = feasible_mask(problem.box, x1p[:, None], x2p[None, :], (problem.grid.n_x1, problem.grid.n_x2))
-    if not feas.any():
-        raise ValueError("no grid samples satisfy the domain constraint")
-
     tols = problem.tolerances
-    reports: dict[str, CheckReport] = {}
-    reports["structure"] = check_structure(
-        problem.g, problem.parameters, problem.box, problem.grid, tols.denom_tol, workers
+    g_pass = _alpha_pass(
+        problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, tols.denom_tol,
+        with_structure=True, with_gamma=True,
     )
+    reports: dict[str, CheckReport] = {"structure": g_pass.structure}
+    curves_error = None
 
-    f_curve = None
+    y_curve = f_curve = gamma = None
     try:
-        y_curve = envelope_curve(problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, workers)
-        f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F, workers)
+        y_curve = _result(g_pass.envelope, g_pass.envelope_error)
+        f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F)
         reports["fuzzy_validity"] = check_fuzzy_validity([y_curve, f_curve])
-    except EvalError as err:
+    except (EvalError, NonFiniteValueError) as err:
         reports["structure"] = _structure_evidence(reports["structure"], err)
+        curves_error = err
 
     try:
-        gamma = gamma_curves(
-            problem.g, problem.parameters, problem.box, problem.grid, tols.denom_tol, workers
-        )
+        gamma = _result(g_pass.gamma, g_pass.gamma_error)
         reports["differentiability"] = check_differentiability(gamma, tols.mono_tol)
         reports["equality"] = check_equality(
-            gamma, problem.f, problem.parameters, problem.box, problem.grid,
-            tols.eq_tol, workers, f_curve=f_curve,
+            gamma, problem.f, problem.parameters, problem.box, problem.grid, tols.eq_tol, f_curve=f_curve,
         )
-    except (NearZeroDenominatorError, EvalError) as err:
+    except (NearZeroDenominatorError, EvalError, NonFiniteValueError) as err:
         reports["structure"] = _structure_evidence(reports["structure"], err)
+        curves_error = curves_error or err
 
     try:
         reports["boundary"] = check_boundary(
-            problem.g, problem.parameters, problem.boundary, problem.box, problem.grid,
-            tols.eq_tol, workers,
+            problem.g, problem.parameters, problem.boundary, problem.box, problem.grid, tols.eq_tol,
         )
-    except EvalError as err:
+    except (EvalError, NonFiniteValueError) as err:
         reports["structure"] = _structure_evidence(reports["structure"], err)
 
     outcome = BF_SOLUTION
@@ -923,15 +1038,18 @@ def verify(problem: ProblemSpec, workers: int | None = None) -> Verdict:
             break
 
     checks = [reports[name] for name, _ in _CHECK_OUTCOME if name in reports]
-    return Verdict(outcome, checks, problem.name, problem.grid, problem.tolerances)
+    curves = None if curves_error is not None else [y_curve, f_curve, gamma]
+    return Verdict(outcome, checks, problem.name, problem.grid, problem.tolerances, curves, curves_error)
 
 
-def compute_curves(problem: ProblemSpec, workers: int | None = None) -> list[EnvelopeCurve]:
+def compute_curves(problem: ProblemSpec) -> list[EnvelopeCurve]:
     """The Y, F and GAMMA curves for a problem, in that order (plot/CSV surface)."""
-    workers = int(workers) if workers else 1
+    g_pass = _alpha_pass(
+        problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, problem.tolerances.denom_tol,
+        with_gamma=True,
+    )
     return [
-        envelope_curve(problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, workers),
-        envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F, workers),
-        gamma_curves(problem.g, problem.parameters, problem.box, problem.grid,
-                     problem.tolerances.denom_tol, workers),
+        _result(g_pass.envelope, g_pass.envelope_error),
+        envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F),
+        _result(g_pass.gamma, g_pass.gamma_error),
     ]

@@ -1,7 +1,7 @@
 """Triangular fuzzy numbers, alpha-cuts, and named fuzzy parameter vectors.
 
-Everything here is immutable after construction and safe to share across
-concurrent evaluation workers.
+Everything here is immutable after construction, so one instance can be
+shared by every problem, curve and check that refers to it.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class AlphaCut:
         if not (self.lo <= self.hi):
             raise ValueError(f"invalid cut: lo {self.lo} > hi {self.hi}")
         _check_alpha(self.alpha)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
 
 @dataclass(frozen=True)

@@ -309,8 +309,9 @@ def report_to_dict(verdict: Verdict) -> dict:
 
 
 def emit_report(verdict: Verdict, path) -> None:
-    """Write the verdict as JSON; byte-stable across runs for identical inputs."""
-    Path(path).write_text(json.dumps(report_to_dict(verdict), indent=2) + "\n", encoding="utf-8")
+    """Write the verdict as strict JSON; byte-stable across runs for identical
+    inputs.  A NaN or infinite number raises ValueError instead of being written."""
+    Path(path).write_text(json.dumps(report_to_dict(verdict), indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def emit_curves(curves: list[EnvelopeCurve], path) -> None:

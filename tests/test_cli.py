@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import bfpde.cli
 from bfpde.cli import run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -85,6 +86,56 @@ class TestCheck:
         assert first == second
         header = first.splitlines()[1]
         assert header.split()[:3] == ["check", "pass", "worst_violation"]
+
+
+class TestCheckCurves:
+    @staticmethod
+    def _problem(tmp_path, g_text):
+        path = tmp_path / "problem.json"
+        doc = json.loads((PROBLEMS / "worked_example.json").read_text())
+        doc.update(G=g_text, grid={"n_x1": 9, "n_x2": 9, "n_alpha": 5})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_writes_the_curves_verify_checked(self, tmp_path, monkeypatch, capsys):
+        expected = tmp_path / "expected.csv"
+        assert run(["curves", str(PROBLEMS / "wrong_F.json"), "--out", str(expected)]) == 0
+
+        def no_recompute(problem):
+            raise AssertionError("check --curves must not recompute the curves")
+
+        monkeypatch.setattr(bfpde.cli, "compute_curves", no_recompute)
+        curves = tmp_path / "curves.csv"
+        assert run(["check", str(PROBLEMS / "wrong_F.json"), "--curves", str(curves)]) == 1
+        capsys.readouterr()
+        assert curves.read_bytes() == expected.read_bytes()
+
+    def test_gamma_error_still_exits_two(self, tmp_path, capsys):
+        # the lower envelope loses its x2-dependence once beta = 0.5 enters the cut
+        path = self._problem(tmp_path, "(beta - 0.5)^2 * x1 * x2 + gamma")
+        report = tmp_path / "report.json"
+        code = run(["check", str(path), "--report", str(report), "--curves", str(tmp_path / "c.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines()[0] == "STRUCTURE_FAILS"
+        assert captured.err.startswith("error: near-zero envelope denominator")
+        assert json.loads(report.read_text())["outcome"] == "STRUCTURE_FAILS"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_values_fail_loudly(self, tmp_path, capsys):
+        path = self._problem(tmp_path, "x2*exp(100*beta*x1*x2) + gamma")
+        report = tmp_path / "report.json"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert run(["check", str(path), "--report", str(report)]) == 1
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert doc["outcome"] == "STRUCTURE_FAILS"
+        assert "non-finite" in doc["checks"][0]["note"]
+        assert run(["check", str(path), "--curves", str(tmp_path / "c.csv")]) == 2
+        assert "error: non-finite" in capsys.readouterr().err
 
 
 class TestValidate:

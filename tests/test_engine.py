@@ -1,6 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+import bfpde.engine
 from bfpde.engine import (
     BF_SOLUTION,
     BOUNDARY_FAILS,
@@ -12,6 +16,7 @@ from bfpde.engine import (
     EnvelopeCurve,
     GridSpec,
     NearZeroDenominatorError,
+    NonFiniteValueError,
     ProblemSpec,
     ROLE_GAMMA,
     Tolerances,
@@ -29,6 +34,7 @@ from bfpde.engine import (
 )
 from bfpde.expr import parse, evaluate
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
+from bfpde.io import report_to_dict
 
 from randexpr import random_monotone_instance
 
@@ -422,13 +428,117 @@ class TestVerify:
         b = verify(worked_problem())
         assert a == b
 
-    def test_workers_do_not_change_the_verdict(self):
-        a = verify(worked_problem(), workers=1)
-        b = verify(worked_problem(), workers=4)
-        assert a == b
-
     def test_compute_curves_roles(self):
         curves = compute_curves(worked_problem())
         assert [c.role for c in curves] == ["Y", "F", "GAMMA"]
         for c in curves[:2]:
             assert (c.lower <= c.upper).all()
+
+    def test_verdict_carries_the_curves_it_checked(self):
+        verdict = verify(worked_problem())
+        assert verdict.curves_error is None
+        for got, want in zip(verdict.curves, compute_curves(worked_problem()), strict=True):
+            assert got.role == want.role
+            for name in ("lower", "upper", "approximate", "feasible"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_verdict_carries_the_error_compute_curves_raises(self):
+        g_text = "(beta - 0.5)^2 * x1 * x2 + gamma"
+        problem = ProblemSpec("flat-lower", g_text, "beta * x2 / x1",
+                              parse(g_text, P), parse("beta * x2 / x1", P), worked_params(),
+                              DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True), GridSpec(9, 9, 5))
+        verdict = verify(problem)
+        assert verdict.curves is None
+        assert isinstance(verdict.curves_error, NearZeroDenominatorError)
+        with pytest.raises(NearZeroDenominatorError) as raised:
+            compute_curves(problem)
+        assert str(raised.value) == str(verdict.curves_error)
+
+    def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
+        # Evaluations that return a whole 21x21 (x1, x2) slice.  Per alpha level
+        # (11 of them): G at the 4 box corners, G at the 4 corners nudged into
+        # the interior (x1 = 1 ties every corner in beta), Gamma's numerator
+        # and denominator at the 2 selected corners, and F at its 4 corners.
+        # The beta-partial of G is probed at the center and the 4 corners on
+        # the 10 levels below alpha = 1.  dG/dx2 = x1^beta is a column, and the
+        # other partials are parameter-free, so neither is counted.
+        problem = worked_problem()
+        shape = (problem.grid.n_x1, problem.grid.n_x2)
+        calls = []
+        original = bfpde.engine.evaluate
+
+        def counting(expr, binding):
+            value = original(expr, binding)
+            calls.append(np.shape(value) == shape)
+            return value
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", counting)
+        verdict = verify(problem)
+        assert verdict.outcome == BF_SOLUTION
+        assert sum(calls) <= 11 * (4 + 4 + 4 + 4) + 10 * 5
+
+
+class TestNonFinite:
+    """G = x2*exp(100*beta*x1*x2) + gamma overflows on most of the worked box."""
+
+    G_TEXT = "x2*exp(100*beta*x1*x2) + gamma"
+
+    def problem(self, boundary=()):
+        base = worked_problem(GridSpec(9, 9, 3), boundary=boundary)
+        return ProblemSpec(base.name, self.G_TEXT, base.f_text, parse(self.G_TEXT, P), base.f,
+                           base.parameters, base.box, base.grid, boundary=base.boundary)
+
+    @pytest.fixture(autouse=True)
+    def quiet_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    def test_verdict_is_structure_failure_with_location(self):
+        verdict = verify(self.problem())
+        assert verdict.outcome == STRUCTURE_FAILS
+        structure = verdict.report("structure")
+        assert not structure.passed
+        assert "non-finite cut-box corner value of G = inf" in structure.note
+        assert "non-finite upper Y envelope" in structure.note
+        assert "non-finite upper Gamma" in structure.note
+        assert structure.location == (2.0, 5.0, 0.0)  # first overflow: exp(100*0.75*2*5)
+        # the checks that consume Y and Gamma were skipped, not passed
+        assert [c.name for c in verdict.checks] == ["structure", "boundary"]
+        for check in verdict.checks:
+            assert math.isfinite(check.worst_violation)
+        json.dumps(report_to_dict(verdict), allow_nan=False)
+
+    def test_check_structure_fails_at_the_first_overflow(self):
+        p = self.problem()
+        report = check_structure(p.g, p.parameters, p.box, p.grid)
+        assert not report.passed
+        assert report.location == (2.0, 5.0, 0.0)
+        assert "non-finite" in report.note
+
+    def test_curves_raise_with_location(self):
+        p = self.problem()
+        with pytest.raises(NonFiniteValueError, match="upper Y envelope") as raised:
+            envelope_curve(p.g, p.parameters, p.box, p.grid, "Y")
+        assert raised.value.location == (2.0, 5.0, 0.0)
+        with pytest.raises(NonFiniteValueError, match="Gamma"):
+            gamma_curves(p.g, p.parameters, p.box, p.grid)
+        with pytest.raises(NonFiniteValueError):
+            compute_curves(p)
+
+    def test_infeasible_overflow_is_ignored(self):
+        # the same overflow, cut away by the domain constraint x1*x2 <= 1
+        p = self.problem()
+        box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("1 - x1 * x2"))
+        report = check_structure(p.g, p.parameters, box, p.grid)
+        assert "non-finite" not in report.note
+
+    def test_boundary_envelope_overflow_is_structure_evidence(self):
+        target = "gamma + exp(1000 * x1)"
+        cond = BoundaryCondition("x2", 0.0, parse(target, P), target)
+        problem = worked_problem(boundary=[cond])
+        with pytest.raises(NonFiniteValueError, match="lower target envelope on the boundary = inf"):
+            check_boundary(problem.g, problem.parameters, (cond,), problem.box, problem.grid)
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert "boundary" not in [c.name for c in verdict.checks]
+        assert verdict.report("structure").location == (1.0, 0.0, 0.0)
