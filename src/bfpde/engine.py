@@ -36,6 +36,11 @@ fallback route carries sampling plus O(h^2) noise that the fully symbolic route
 does not.  A NaN or infinite corner value, envelope or Gamma value at a
 feasible sample is reported as structure evidence with its location, never
 passed on to the checks.
+
+The same pass builds every envelope the engine uses: the F envelope, the
+candidate and target envelopes on a boundary edge (the grid with a single
+point on the fixed axis) and the point envelope of :func:`envelope` (a
+1x1x1 grid).
 """
 
 from __future__ import annotations
@@ -313,6 +318,12 @@ def _cut_arrays(params: FuzzyVector, alpha: float) -> tuple[np.ndarray, np.ndarr
 
 # --- envelope core -----------------------------------------------------------
 
+# Values may be NaN or infinite at infeasible samples.  Code that computes over
+# whole arrays and masks those samples out afterwards runs under this, so numpy
+# does not warn about results nothing reads; feasible samples are checked.
+_masked_out_invalid = np.errstate(invalid="ignore")
+
+
 def _as_mesh(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
@@ -389,12 +400,13 @@ def _corner_envelope(values: np.ndarray | None, shape) -> tuple[np.ndarray, np.n
     return values.min(axis=0), values.max(axis=0)
 
 
-def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper, m=FALLBACK_BOX_SAMPLES) -> None:
+def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper) -> None:
     """Overwrite the envelope at fallback samples with the dense-lattice extremes."""
     if not fallback.any():
         return
     idx = np.nonzero(fallback)
-    w = _eval_box(expr, names, _box_lattice(los, his, m), _as_mesh(X1, shape)[idx], _as_mesh(X2, shape)[idx])
+    lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
+    w = _eval_box(expr, names, lattice, _as_mesh(X1, shape)[idx], _as_mesh(X2, shape)[idx])
     lower[idx] = w.min(axis=1)
     upper[idx] = w.max(axis=1)
 
@@ -422,32 +434,6 @@ def _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fallb
     corner_lo[fallback] = -1
     corner_hi[fallback] = -1
     return corner_lo, corner_hi
-
-
-def _mesh_envelope(
-    expr: Expression,
-    partials: list[Expression],
-    names: tuple[str, ...],
-    los: np.ndarray,
-    his: np.ndarray,
-    X1,
-    X2,
-    shape: tuple[int, ...],
-    m_fallback: int = FALLBACK_BOX_SAMPLES,
-):
-    """Envelope of ``expr`` over the parameter box at every mesh sample.
-
-    Returns ``(lower, upper, fallback)``; fallback samples take their envelope
-    from the dense lattice instead of the box corners.
-    """
-    base = {"x1": X1, "x2": X2}
-    fallback = _sign_fallback(partials, names, los, his, base, shape)
-    values = None
-    if len(names) <= CORNER_PARAM_LIMIT:
-        (values,) = _corner_values((expr,), names, los, his, base, shape)
-    lower, upper = _corner_envelope(values, shape)
-    _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper, m_fallback)
-    return lower, upper, fallback
 
 
 def _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds):
@@ -482,24 +468,6 @@ def _non_finite(arrays: dict, feas: np.ndarray, X1, X2, alpha: float) -> NonFini
     raise AssertionError("a non-finite sample has a non-finite value")
 
 
-def envelope(
-    expr: Expression,
-    params: FuzzyVector,
-    x1: float,
-    x2: float,
-    alpha: float,
-    m_fallback: int = FALLBACK_BOX_SAMPLES,
-) -> tuple[float, float]:
-    """(min, max) of ``expr`` over the parameter cut box at one (x1, x2, alpha)."""
-    partials = [differentiate(expr, name) for name in params.names]
-    los, his = _cut_arrays(params, alpha)
-    lower, upper, _ = _mesh_envelope(
-        expr, partials, params.names, los, his, np.float64(x1), np.float64(x2), (1,),
-        m_fallback=m_fallback,
-    )
-    return float(lower[0]), float(upper[0])
-
-
 # --- the alpha-slice pass ----------------------------------------------------
 
 @dataclass
@@ -523,21 +491,33 @@ def _result(curve: EnvelopeCurve | None, error: Exception | None) -> EnvelopeCur
     return curve
 
 
+def _grid_samples(box: DomainBox, grid: GridSpec):
+    """The grid's (x1, x2, alpha) sample axes and its feasible (x1, x2) mask."""
+    x1p, x2p, alphas = grid_axes(box, grid)
+    return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
+
+
 def _alpha_pass(
     expr: Expression,
     params: FuzzyVector,
-    box: DomainBox,
-    grid: GridSpec,
+    x1p: np.ndarray,
+    x2p: np.ndarray,
+    alphas: np.ndarray,
+    feas: np.ndarray,
     role: str = ROLE_Y,
     denom_tol: float = DEFAULT_DENOM_TOL,
     *,
     with_envelope: bool = True,
     with_structure: bool = False,
     with_gamma: bool = False,
+    label: str | None = None,
 ) -> _AlphaPass:
-    """Visit every alpha slice of the grid once and build what was asked for.
+    """Visit every alpha slice of the sample grid once and build what was asked for.
 
-    ``with_envelope``: the envelope curve of ``expr`` under ``role``.
+    The samples are every (x1p, x2p, alphas) combination; ``feas`` is the
+    ``(x1p.size, x2p.size)`` mask of the samples the checks consume.
+    ``with_envelope``: the envelope curve of ``expr`` under ``role``; a
+    non-finite value there is named after ``label`` (default "<role> envelope").
     ``with_structure``: the structure check, from ``expr`` and its x2-partial
     at every cut-box corner.  ``with_gamma``: the quotient-of-partials curves
     of the envelope.  Each slice evaluates the corner values, the sign probes,
@@ -549,10 +529,8 @@ def _alpha_pass(
     k = len(names)
     if with_structure and k > CORNER_PARAM_LIMIT:
         raise ValueError(f"structure check enumerates box corners; at most {CORNER_PARAM_LIMIT} parameters")
-    x1p, x2p, alphas = grid_axes(box, grid)
     X1, X2 = x1p[:, None], x2p[None, :]
-    shape = (grid.n_x1, grid.n_x2)
-    feas = feasible_mask(box, X1, X2, shape)
+    shape = (x1p.size, x2p.size)
     if with_structure and not feas.any():
         raise ValueError("no grid samples satisfy the domain constraint")
     base = {"x1": X1, "x2": X2}
@@ -580,6 +558,7 @@ def _alpha_pass(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(num, den)
 
+    @_masked_out_invalid
     def fallback_gamma(fb, los, his, lo_env, up_env, alpha):
         idx = np.nonzero(fb)
         x1f = _as_mesh(X1, shape)[idx]
@@ -638,7 +617,7 @@ def _alpha_pass(
         return g_lo, g_hi
 
     # alpha-major buffers: every slice lands in one contiguous block
-    planes = (grid.n_alpha,) + shape
+    planes = (alphas.size,) + shape
     env_lo, env_hi = np.empty(planes), np.empty(planes)
     approx = np.zeros(planes, dtype=bool)
     if with_gamma:
@@ -646,7 +625,8 @@ def _alpha_pass(
     env_err = gam_err = None
     slots, structure_err = [], None
 
-    for ki in range(grid.n_alpha):
+    what = label or f"{role} envelope"
+    for ki in range(alphas.size):
         alpha = float(alphas[ki])
         los, his = _cut_arrays(params, alpha)
         values = None
@@ -683,7 +663,7 @@ def _alpha_pass(
         env_lo[ki], env_hi[ki], approx[ki] = lower, upper, fb
         if env_live:
             env_err = _non_finite(
-                {f"lower {role} envelope": lower, f"upper {role} envelope": upper}, feas, X1, X2, alpha
+                {f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha
             )
         if with_gamma and gam_err is None:
             try:
@@ -721,8 +701,19 @@ def envelope_curve(
     Raises :class:`NonFiniteValueError` when the envelope is NaN or infinite at
     a feasible sample.
     """
-    result = _alpha_pass(expr, params, box, grid, role)
+    result = _alpha_pass(expr, params, *_grid_samples(box, grid), role)
     return _result(result.envelope, result.envelope_error)
+
+
+def envelope(expr: Expression, params: FuzzyVector, x1: float, x2: float, alpha: float) -> tuple[float, float]:
+    """(min, max) of ``expr`` over the parameter cut box at one (x1, x2, alpha).
+
+    Raises :class:`NonFiniteValueError` when either end is NaN or infinite.
+    """
+    point = _alpha_pass(expr, params, np.array([x1], dtype=float), np.array([x2], dtype=float),
+                        np.array([alpha], dtype=float), np.ones((1, 1), dtype=bool), label="envelope")
+    curve = _result(point.envelope, point.envelope_error)
+    return float(curve.lower[0, 0, 0]), float(curve.upper[0, 0, 0])
 
 
 # --- Gamma curves ------------------------------------------------------------
@@ -746,14 +737,16 @@ def gamma_curves(
     Raises :class:`NonFiniteValueError` when Gamma is NaN or infinite at a
     feasible sample.
     """
-    result = _alpha_pass(g, params, box, grid, denom_tol=denom_tol, with_envelope=False, with_gamma=True)
+    result = _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol,
+                         with_envelope=False, with_gamma=True)
     return _result(result.gamma, result.gamma_error)
 
 
 # --- checks ------------------------------------------------------------------
 
 def _masked_worst(values: np.ndarray, mask: np.ndarray, axes: tuple[np.ndarray, ...]):
-    """Max of values over mask plus its (x1, x2, alpha) location; None if empty."""
+    """Max of values over mask plus its location, one coordinate per axis
+    (the first maximum in C order); None if the mask is empty."""
     if not mask.any():
         return None, None
     flat = np.where(mask, values, -np.inf)
@@ -834,10 +827,11 @@ def check_structure(
     |dG/dx2| >= denom_tol, at every grid sample and every cut-box corner.
     A NaN or infinite corner value fails the check at its location."""
     return _alpha_pass(
-        g, params, box, grid, denom_tol=denom_tol, with_envelope=False, with_structure=True
+        g, params, *_grid_samples(box, grid), denom_tol=denom_tol, with_envelope=False, with_structure=True
     ).structure
 
 
+@_masked_out_invalid
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
     """Every envelope must satisfy lower <= upper at every feasible sample."""
     worst, loc, role = -np.inf, None, None
@@ -853,6 +847,7 @@ def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
     return CheckReport("fuzzy_validity", passed, worst, loc, note)
 
 
+@_masked_out_invalid
 def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL) -> CheckReport:
     """The three fuzzy-number conditions on the Gamma interval:
 
@@ -888,18 +883,9 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     return CheckReport("differentiability", passed, worst, loc, note)
 
 
-def check_equality(
-    gamma: EnvelopeCurve,
-    f: Expression,
-    params: FuzzyVector,
-    box: DomainBox,
-    grid: GridSpec,
-    tol: float = DEFAULT_EQ_TOL,
-    f_curve: EnvelopeCurve | None = None,
-) -> CheckReport:
+@_masked_out_invalid
+def check_equality(gamma: EnvelopeCurve, f_curve: EnvelopeCurve, tol: float = DEFAULT_EQ_TOL) -> CheckReport:
     """Gamma must equal the F envelope end-to-end: |Gamma_i - f_i| <= tol*(1+|f_i|)."""
-    if f_curve is None:
-        f_curve = envelope_curve(f, params, box, grid, ROLE_F)
     feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
     resid_lo = np.abs(gamma.lower - f_curve.lower) / (1.0 + np.abs(f_curve.lower))
     resid_hi = np.abs(gamma.upper - f_curve.upper) / (1.0 + np.abs(f_curve.upper))
@@ -913,6 +899,7 @@ def check_equality(
     return CheckReport("equality", passed, worst, loc, _fallback_note(tol_eff != tol, tol_eff))
 
 
+@_masked_out_invalid
 def check_boundary(
     candidate: Expression,
     params: FuzzyVector,
@@ -929,46 +916,33 @@ def check_boundary(
     if not conditions:
         return CheckReport("boundary", True, 0.0, None, "no conditions")
 
-    _, _, alphas = grid_axes(box, grid)
-    names = params.names
-    cand_partials = [differentiate(candidate, name) for name in names]
+    x1p, x2p, alphas = grid_axes(box, grid)
     worst, loc = -np.inf, None
     any_fb = False
 
+    def edge_envelope(expr, whose, e1, e2, feas) -> EnvelopeCurve:
+        edge = _alpha_pass(expr, params, e1, e2, alphas, feas, label=f"{whose} envelope on the boundary")
+        return _result(edge.envelope, edge.envelope_error)
+
     for cond in conditions:
-        if cond.fix == "x2":
-            pts = axis_points(box.x1_min, box.x1_max, box.x1_min_open, box.x1_max_open, grid.n_x1, grid.epsilon_edge)
-            X1, X2 = pts, np.full_like(pts, cond.at)
-        else:
-            pts = axis_points(box.x2_min, box.x2_max, box.x2_min_open, box.x2_max_open, grid.n_x2, grid.epsilon_edge)
-            X1, X2 = np.full_like(pts, cond.at), pts
-        shape = pts.shape
-        feas = feasible_mask(box, X1, X2, shape)
+        # the edge is the grid with one point on the fixed axis
+        at = np.array([cond.at], dtype=float)
+        e1, e2 = (x1p, at) if cond.fix == "x2" else (at, x2p)
+        feas = feasible_mask(box, e1[:, None], e2[None, :], (e1.size, e2.size))
         if not feas.any():
             continue
-        target_partials = [differentiate(cond.target, name) for name in names]
-
-        for alpha in alphas:
-            los, his = _cut_arrays(params, float(alpha))
-            c_lo, c_hi, fb_c = _mesh_envelope(candidate, cand_partials, names, los, his, X1, X2, shape)
-            t_lo, t_hi, fb_t = _mesh_envelope(cond.target, target_partials, names, los, his, X1, X2, shape)
-            error = _non_finite(
-                {"lower candidate envelope on the boundary": c_lo, "upper candidate envelope on the boundary": c_hi,
-                 "lower target envelope on the boundary": t_lo, "upper target envelope on the boundary": t_hi},
-                feas, X1, X2, float(alpha),
-            )
-            if error is not None:
-                raise error
-            any_fb = any_fb or bool(((fb_c | fb_t) & feas).any())
-            resid = np.maximum(
-                np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
-                np.abs(c_hi - t_hi) / (1.0 + np.abs(t_hi)),
-            )
-            flat = np.where(feas, resid, -np.inf)
-            pos = int(flat.argmax())
-            if flat[pos] > worst:
-                worst = float(flat[pos])
-                loc = (float(X1[pos]), float(X2[pos]), float(alpha))
+        c = edge_envelope(candidate, "candidate", e1, e2, feas)
+        t = edge_envelope(cond.target, "target", e1, e2, feas)
+        any_fb = any_fb or bool(((c.approximate | t.approximate) & feas[:, :, None]).any())
+        # alpha-major views, so ties go to the lowest alpha, then the lowest edge position
+        c_lo, c_hi, t_lo, t_hi = (v.transpose(2, 0, 1) for v in (c.lower, c.upper, t.lower, t.upper))
+        resid = np.maximum(
+            np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
+            np.abs(c_hi - t_hi) / (1.0 + np.abs(t_hi)),
+        )
+        v, (at_alpha, at_x1, at_x2) = _masked_worst(resid, np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
+        if v > worst:
+            worst, loc = v, (at_x1, at_x2, at_alpha)
 
     if loc is None:
         return CheckReport("boundary", True, 0.0, None, "no feasible boundary samples")
@@ -999,7 +973,7 @@ def verify(problem: ProblemSpec) -> Verdict:
     """
     tols = problem.tolerances
     g_pass = _alpha_pass(
-        problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, tols.denom_tol,
+        problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y, tols.denom_tol,
         with_structure=True, with_gamma=True,
     )
     reports: dict[str, CheckReport] = {"structure": g_pass.structure}
@@ -1017,9 +991,8 @@ def verify(problem: ProblemSpec) -> Verdict:
     try:
         gamma = _result(g_pass.gamma, g_pass.gamma_error)
         reports["differentiability"] = check_differentiability(gamma, tols.mono_tol)
-        reports["equality"] = check_equality(
-            gamma, problem.f, problem.parameters, problem.box, problem.grid, tols.eq_tol, f_curve=f_curve,
-        )
+        if f_curve is not None:
+            reports["equality"] = check_equality(gamma, f_curve, tols.eq_tol)
     except (NearZeroDenominatorError, EvalError, NonFiniteValueError) as err:
         reports["structure"] = _structure_evidence(reports["structure"], err)
         curves_error = curves_error or err
@@ -1045,8 +1018,8 @@ def verify(problem: ProblemSpec) -> Verdict:
 def compute_curves(problem: ProblemSpec) -> list[EnvelopeCurve]:
     """The Y, F and GAMMA curves for a problem, in that order (plot/CSV surface)."""
     g_pass = _alpha_pass(
-        problem.g, problem.parameters, problem.box, problem.grid, ROLE_Y, problem.tolerances.denom_tol,
-        with_gamma=True,
+        problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y,
+        problem.tolerances.denom_tol, with_gamma=True,
     )
     return [
         _result(g_pass.envelope, g_pass.envelope_error),

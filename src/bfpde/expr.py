@@ -308,9 +308,12 @@ def evaluate(e: Expression, binding: Mapping[str, float | np.ndarray]):
     Raises :class:`UnboundVariableError` for free variables missing from the
     binding and :class:`EvalDomainError` for ln of a non-positive value,
     sqrt of a negative, division by zero, 0 raised to a negative power, or a
-    negative base raised to a non-integer power.
+    negative base raised to a non-integer power.  Overflow and invalid results
+    come back as inf or NaN without a numpy warning; the engine reports them
+    where they matter.
     """
-    value = _eval(e, binding)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _eval(e, binding)
     if np.ndim(value) == 0:
         return float(value)
     return value
@@ -346,16 +349,14 @@ def _eval(e: Expression, b: Mapping[str, float | np.ndarray]):
                 raise EvalDomainError("negative base with non-integer exponent", e)
         if np.any(np.logical_and(np.equal(base, 0.0), np.less(expo, 0.0))):
             raise EvalDomainError("zero base with negative exponent", e)
-        with np.errstate(over="ignore"):
-            return np.power(base, expo)
+        return np.power(base, expo)
     if isinstance(e, Call):
         arg = _eval(e.arg, b)
         if e.fn == "ln" and np.any(np.less_equal(arg, 0.0)):
             raise EvalDomainError("ln of non-positive value", e)
         if e.fn == "sqrt" and np.any(np.less(arg, 0.0)):
             raise EvalDomainError("sqrt of negative value", e)
-        with np.errstate(over="ignore"):
-            return _FUNC_IMPL[e.fn](arg)
+        return _FUNC_IMPL[e.fn](arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,7 +282,8 @@ class TestChecks:
     def test_equality_zero_residual_on_worked_example(self):
         problem = worked_problem()
         gam = gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
-        report = check_equality(gam, problem.f, problem.parameters, problem.box, problem.grid)
+        f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, "F")
+        report = check_equality(gam, f_curve)
         assert report.passed
         assert report.worst_violation < 1e-12
 
@@ -289,7 +291,8 @@ class TestChecks:
         # analytic residual b_i(alpha) * x2 * (x2 - 1) / x1, largest at x2 = 5
         problem = worked_problem(f_text="beta * x2^2 / x1")
         gam = gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
-        report = check_equality(gam, problem.f, problem.parameters, problem.box, problem.grid)
+        f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, "F")
+        report = check_equality(gam, f_curve)
         assert not report.passed
         assert report.worst_violation > 0.1
         assert report.location[1] > 4.5
@@ -347,6 +350,55 @@ class TestChecks:
         report = check_boundary(problem.g, problem.parameters, (cond,), problem.box, problem.grid)
         assert not report.passed
         assert report.worst_violation == pytest.approx(2.0)  # |upper - 0| = g2(0) = 2
+        # every edge sample ties at alpha = 0: the lowest alpha, then the lowest x1, wins
+        assert report.location == (1.0, 0.0, 0.0)
+
+    def test_boundary_x1_fixed_edge(self):
+        # at x1 = 1 the worked G is x2 + gamma for every beta
+        problem = worked_problem()
+        match = BoundaryCondition("x1", 1.0, parse("x2 + gamma", P), "x2 + gamma")
+        report = check_boundary(problem.g, problem.parameters, (match,), problem.box, problem.grid)
+        assert report.passed
+        assert report.worst_violation < 1e-12
+        # against x2 alone the residual is gamma's end / (1 + x2): largest at
+        # alpha = 0 and the smallest sampled x2, which is offset into the open end
+        miss = BoundaryCondition("x1", 1.0, parse("x2", P), "x2")
+        report = check_boundary(problem.g, problem.parameters, (miss,), problem.box, problem.grid)
+        x2_first = float(axis_points(0.0, 5.0, True, False, 21, problem.grid.epsilon_edge)[0])
+        assert not report.passed
+        assert report.location == (1.0, x2_first, 0.0)
+        assert report.worst_violation == pytest.approx(2.0 / (1.0 + x2_first))
+
+    def test_boundary_non_monotone_target_takes_the_dense_fallback(self):
+        # d/dbeta of the target changes sign inside every cut below alpha = 1,
+        # so its edge envelope comes from the dense lattice; the residual stays
+        # under the widened tolerance but not under the default one
+        problem = worked_problem(grid=GridSpec(9, 9, 5))
+        target = "gamma + (beta - 0.5)^2 * x1 / 10000"
+        cond = BoundaryCondition("x2", 0.0, parse(target, P), target)
+        report = check_boundary(problem.g, problem.parameters, (cond,), problem.box, problem.grid)
+        assert report.passed
+        assert report.note == "dense-sampling fallback in effect; tolerance widened to 0.0001"
+
+        worst, loc = -np.inf, None
+        for alpha in np.linspace(0.0, 1.0, 5):
+            for x1 in np.linspace(1.0, 5.0, 9):
+                c_lo, c_hi = brute_envelope(problem.g, problem.parameters, x1, 0.0, alpha)
+                t_lo, t_hi = brute_envelope(cond.target, problem.parameters, x1, 0.0, alpha)
+                r = max(abs(c_lo - t_lo) / (1 + abs(t_lo)), abs(c_hi - t_hi) / (1 + abs(t_hi)))
+                if r > worst:
+                    worst, loc = r, (float(x1), 0.0, float(alpha))
+        assert worst > 1e-8
+        assert report.worst_violation == pytest.approx(worst, rel=1e-9)
+        assert report.location == loc
+
+    def test_boundary_edge_outside_the_constraint_is_vacuous(self):
+        box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("x2 - 1"))
+        cond = BoundaryCondition("x2", 0.0, parse("0", P), "0")
+        report = check_boundary(parse("x1^beta * x2 + gamma", P), worked_params(), (cond,), box, GridSpec(9, 9, 3))
+        assert report.passed
+        assert report.location is None
+        assert report.note == "no feasible boundary samples"
 
 
 class TestVerify:
@@ -478,6 +530,23 @@ class TestVerify:
         assert sum(calls) <= 11 * (4 + 4 + 4 + 4) + 10 * 5
 
 
+    def test_failed_f_envelope_is_reported_once(self, monkeypatch):
+        # F's envelope raises; equality is skipped instead of recomputing it
+        passes = []
+        original = bfpde.engine._alpha_pass
+
+        def counting(*args, **kwargs):
+            passes.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bfpde.engine, "_alpha_pass", counting)
+        verdict = verify(worked_problem(f_text="ln(x1 - 2) * beta"))
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert verdict.report("structure").note == "ln of non-positive value (in 'ln(x1 - 2)')"
+        assert [c.name for c in verdict.checks] == ["structure", "differentiability", "boundary"]
+        assert len(passes) == 2
+
+
 class TestNonFinite:
     """G = x2*exp(100*beta*x1*x2) + gamma overflows on most of the worked box."""
 
@@ -487,11 +556,6 @@ class TestNonFinite:
         base = worked_problem(GridSpec(9, 9, 3), boundary=boundary)
         return ProblemSpec(base.name, self.G_TEXT, base.f_text, parse(self.G_TEXT, P), base.f,
                            base.parameters, base.box, base.grid, boundary=base.boundary)
-
-    @pytest.fixture(autouse=True)
-    def quiet_overflow(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
 
     def test_verdict_is_structure_failure_with_location(self):
         verdict = verify(self.problem())
@@ -524,6 +588,9 @@ class TestNonFinite:
             gamma_curves(p.g, p.parameters, p.box, p.grid)
         with pytest.raises(NonFiniteValueError):
             compute_curves(p)
+        with pytest.raises(NonFiniteValueError, match="upper envelope = inf") as raised:
+            envelope(p.g, p.parameters, 2.0, 5.0, 0.0)
+        assert raised.value.location == (2.0, 5.0, 0.0)
 
     def test_infeasible_overflow_is_ignored(self):
         # the same overflow, cut away by the domain constraint x1*x2 <= 1
@@ -531,6 +598,28 @@ class TestNonFinite:
         box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("1 - x1 * x2"))
         report = check_structure(p.g, p.parameters, box, p.grid)
         assert "non-finite" not in report.note
+
+    def test_overflow_outside_the_constraint_warns_nothing(self):
+        # every feasible value is finite; the checks and the fallback finite
+        # differences still compute over the overflowing infeasible samples
+        def problem(g_text, constraint, boundary=()):
+            box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse(constraint))
+            base = self.problem(boundary)
+            return ProblemSpec(base.name, g_text, base.f_text, parse(g_text, P), base.f,
+                               base.parameters, box, base.grid, boundary=base.boundary)
+
+        target = "gamma + exp(300 * x1)"
+        cases = (
+            (problem(self.G_TEXT, "1 - x1 * x2"), EQUALITY_FAILS),
+            (problem("x1^beta * x2 + gamma", "2 - x1", [BoundaryCondition("x2", 0.0, parse(target, P), target)]),
+             BOUNDARY_FAILS),
+            (problem("x2*exp(3000*x1*((beta - 0.5)^2 + 0.01)) + gamma", "2 - x1"), NOT_DIFFERENTIABLE),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, outcome in cases:
+                assert verify(p).outcome == outcome
+                compute_curves(p)
 
     def test_boundary_envelope_overflow_is_structure_evidence(self):
         target = "gamma + exp(1000 * x1)"
