@@ -19,7 +19,7 @@ and boundary conditions.
 Envelope strategy
 -----------------
 Each alpha slice of the grid is visited once per expression.  For G, that one
-visit serves the structure check, the Y envelope and the Gamma curves: G and
+candidate pass serves the structure check, the Y envelope and Gamma: G and
 dG/dx2 are evaluated at every cut-box corner once, and each parameter's partial
 of G is probed at the box center and at every box corner once.  If no
 parameter shows strictly opposite signs across those probes, the extremum is
@@ -37,10 +37,11 @@ does not.  A NaN or infinite corner value, envelope or Gamma value at a
 feasible sample is reported as structure evidence with its location, never
 passed on to the checks.
 
-The same pass builds every envelope the engine uses: the F envelope, the
-candidate and target envelopes on a boundary edge (the grid with a single
-point on the fixed axis) and the point envelope of :func:`envelope` (a
-1x1x1 grid).
+The same pass, in envelope-only mode, builds every other envelope the engine
+uses: the F envelope, the candidate and target envelopes on a boundary edge
+(the grid with a single point on the fixed axis) and the point envelope of
+:func:`envelope` (a 1x1x1 grid).  Both modes enumerate the 2^k cut-box
+corners, so every envelope takes at most ``CORNER_PARAM_LIMIT`` parameters.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ DEFAULT_DENOM_TOL = 1e-10
 FALLBACK_TOL = 1e-4  # noise floor of the dense-sampling + finite-difference route
 FALLBACK_BOX_SAMPLES = 33  # per-axis lattice density of the dense fallback
 BOX_SAMPLE_BUDGET = 100_000  # total lattice size cap for many-parameter boxes
-CORNER_PARAM_LIMIT = 16  # 2^k corner enumeration cap; beyond it everything falls back
+CORNER_PARAM_LIMIT = 16  # parameter cap: every envelope enumerates the 2^k cut-box corners
 EDGE_NUDGE_REL = 1e-4  # tie-break probe offset, relative to the axis range
 FD_STEP_REL = 1e-5  # fallback finite-difference step, relative to the axis range
 
@@ -268,7 +269,8 @@ class Verdict:
 
     ``curves`` holds the Y, F and GAMMA curves the checks consumed, in that
     order; when one of them could not be computed it is None and
-    ``curves_error`` is the error :func:`compute_curves` would raise.
+    ``curves_error`` is the first error met computing them, which
+    :func:`compute_curves` raises.
     """
 
     outcome: str
@@ -330,10 +332,7 @@ def _as_mesh(value, shape) -> np.ndarray:
 
 def _box_lattice(los: np.ndarray, his: np.ndarray, m: int) -> np.ndarray:
     """(k, M) lattice over the parameter box, endpoints included, budget-capped."""
-    k = len(los)
-    m_eff = max(2, min(m, int(BOX_SAMPLE_BUDGET ** (1.0 / k))))
-    if m_eff**k > 4 * BOX_SAMPLE_BUDGET:
-        raise ValueError(f"parameter box too high-dimensional for dense sampling (k={k})")
+    m_eff = max(2, min(m, int(BOX_SAMPLE_BUDGET ** (1.0 / len(los)))))
     axes = [np.linspace(lo, hi, m_eff) for lo, hi in zip(los, his)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids])
@@ -373,9 +372,6 @@ def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
     takes strictly opposite signs across the box center and corners."""
     k = len(names)
     fallback = np.zeros(shape, dtype=bool)
-    if k > CORNER_PARAM_LIMIT:
-        fallback[...] = True
-        return fallback
     center = dict(base)
     for j, name in enumerate(names):
         center[name] = 0.5 * (los[j] + his[j])
@@ -393,13 +389,6 @@ def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
     return fallback
 
 
-def _corner_envelope(values: np.ndarray | None, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max over the corner values; NaN placeholders when there are none."""
-    if values is None:
-        return np.full(shape, np.nan), np.full(shape, np.nan)
-    return values.min(axis=0), values.max(axis=0)
-
-
 def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper) -> None:
     """Overwrite the envelope at fallback samples with the dense-lattice extremes."""
     if not fallback.any():
@@ -413,10 +402,7 @@ def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper) ->
 
 def _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fallback):
     """Bitmask indices of the corners attaining the corner envelope, -1 at
-    fallback samples (and everywhere when the corners were not enumerated)."""
-    if values is None:
-        none = np.full(fallback.shape, -1, dtype=np.int64)
-        return none, none
+    fallback samples."""
     at_lo = values == lower
     at_hi = values == upper
     if (at_lo.sum(axis=0) > 1).any() or (at_hi.sum(axis=0) > 1).any():
@@ -485,10 +471,10 @@ class _AlphaPass:
     structure: CheckReport | None = None
 
 
-def _result(curve: EnvelopeCurve | None, error: Exception | None) -> EnvelopeCurve:
+def _result(value, error: Exception | None):
     if error is not None:
         raise error
-    return curve
+    return value
 
 
 def _grid_samples(box: DomainBox, grid: GridSpec):
@@ -507,39 +493,36 @@ def _alpha_pass(
     role: str = ROLE_Y,
     denom_tol: float = DEFAULT_DENOM_TOL,
     *,
-    with_envelope: bool = True,
-    with_structure: bool = False,
-    with_gamma: bool = False,
+    candidate: bool = False,
     label: str | None = None,
 ) -> _AlphaPass:
-    """Visit every alpha slice of the sample grid once and build what was asked for.
+    """Visit every alpha slice of the sample grid once.
 
     The samples are every (x1p, x2p, alphas) combination; ``feas`` is the
-    ``(x1p.size, x2p.size)`` mask of the samples the checks consume.
-    ``with_envelope``: the envelope curve of ``expr`` under ``role``; a
-    non-finite value there is named after ``label`` (default "<role> envelope").
-    ``with_structure``: the structure check, from ``expr`` and its x2-partial
-    at every cut-box corner.  ``with_gamma``: the quotient-of-partials curves
-    of the envelope.  Each slice evaluates the corner values, the sign probes,
-    the corner selection and the dense fallback once for all of them.
-    Evaluation errors of the structure scan are raised at once; the curves'
-    errors are collected in the result instead.
+    ``(x1p.size, x2p.size)`` mask of the samples the checks consume.  The pass
+    builds the envelope curve of ``expr`` under ``role``; a non-finite value
+    there is named after ``label`` (default "<role> envelope").  In candidate
+    mode it also builds the structure check, from ``expr`` and its x2-partial
+    at every cut-box corner, and the quotient-of-partials (Gamma) curves of
+    the envelope; each slice evaluates the corner values, the sign probes, the
+    corner selection and the dense fallback once for all three.  Evaluation
+    errors of the structure scan are raised at once; the curves' errors are
+    collected in the result instead.
     """
     names = params.names
-    k = len(names)
-    if with_structure and k > CORNER_PARAM_LIMIT:
+    if len(names) > CORNER_PARAM_LIMIT:
         raise ValueError(f"structure check enumerates box corners; at most {CORNER_PARAM_LIMIT} parameters")
     X1, X2 = x1p[:, None], x2p[None, :]
     shape = (x1p.size, x2p.size)
-    if with_structure and not feas.any():
+    if candidate and not feas.any():
         raise ValueError("no grid samples satisfy the domain constraint")
     base = {"x1": X1, "x2": X2}
     partials = [differentiate(expr, name) for name in names]
-    dg_dx1 = differentiate(expr, "x1") if with_gamma else None
-    dg_dx2 = differentiate(expr, "x2") if with_gamma or with_structure else None
     x1_bounds = (float(x1p[0]), float(x1p[-1]))
     x2_bounds = (float(x2p[0]), float(x2p[-1]))
-    nudged = _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds) if with_gamma else None
+    if candidate:
+        dg_dx1, dg_dx2 = differentiate(expr, "x1"), differentiate(expr, "x2")
+        nudged = _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds)
 
     def corner_gamma(corner: np.ndarray, los, his, fb: np.ndarray, alpha: float) -> np.ndarray:
         binding = {"x1": X1, "x2": X2}
@@ -620,7 +603,7 @@ def _alpha_pass(
     planes = (alphas.size,) + shape
     env_lo, env_hi = np.empty(planes), np.empty(planes)
     approx = np.zeros(planes, dtype=bool)
-    if with_gamma:
+    if candidate:
         gam_lo, gam_hi = np.empty(planes), np.empty(planes)
     env_err = gam_err = None
     slots, structure_err = [], None
@@ -629,8 +612,7 @@ def _alpha_pass(
     for ki in range(alphas.size):
         alpha = float(alphas[ki])
         los, his = _cut_arrays(params, alpha)
-        values = None
-        if with_structure:
+        if candidate:
             values, d2 = _corner_values((expr, dg_dx2), names, los, his, base, shape)
             finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
             if structure_err is None and not finite[feas].all():
@@ -638,18 +620,18 @@ def _alpha_pass(
                     {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}, feas, X1, X2, alpha
                 )
             slots.append(_structure_slice(values, d2, feas & finite))
-        env_live = with_envelope and env_err is None
-        gamma_live = with_gamma and gam_err is None
+        env_live = env_err is None
+        gamma_live = candidate and gam_err is None
         if not (env_live or gamma_live):
             continue
         try:
             fb = _sign_fallback(partials, names, los, his, base, shape)
-            if values is None and k <= CORNER_PARAM_LIMIT:
+            if not candidate:
                 (values,) = _corner_values((expr,), names, los, his, base, shape)
         except EvalError as err:
             env_err, gam_err = env_err or err, gam_err or err
             continue
-        lower, upper = _corner_envelope(values, shape)
+        lower, upper = values.min(axis=0), values.max(axis=0)
         if gamma_live:
             try:
                 corners = _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fb)
@@ -665,7 +647,7 @@ def _alpha_pass(
             env_err = _non_finite(
                 {f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha
             )
-        if with_gamma and gam_err is None:
+        if candidate and gam_err is None:
             try:
                 gam_lo[ki], gam_hi[ki] = slice_gamma(los, his, alpha, lower, upper, fb, corners)
             except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
@@ -675,16 +657,13 @@ def _alpha_pass(
         return EnvelopeCurve(curve_role, x1p, x2p, alphas, lo.transpose(1, 2, 0), hi.transpose(1, 2, 0),
                              approx.transpose(1, 2, 0), feas)
 
-    result = _AlphaPass()
-    if with_envelope:
-        result.envelope_error = env_err
-        if env_err is None:
-            result.envelope = curve(role, env_lo, env_hi)
-    if with_gamma:
+    result = _AlphaPass(envelope_error=env_err)
+    if env_err is None:
+        result.envelope = curve(role, env_lo, env_hi)
+    if candidate:
         result.gamma_error = gam_err
         if gam_err is None:
             result.gamma = curve(ROLE_GAMMA, gam_lo, gam_hi)
-    if with_structure:
         result.structure = _structure_report(slots, x1p, x2p, alphas, denom_tol, structure_err)
     return result
 
@@ -737,8 +716,7 @@ def gamma_curves(
     Raises :class:`NonFiniteValueError` when Gamma is NaN or infinite at a
     feasible sample.
     """
-    result = _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol,
-                         with_envelope=False, with_gamma=True)
+    result = _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol, candidate=True)
     return _result(result.gamma, result.gamma_error)
 
 
@@ -826,9 +804,7 @@ def check_structure(
     """G must be strictly positive, and dG/dx2 must keep one global sign with
     |dG/dx2| >= denom_tol, at every grid sample and every cut-box corner.
     A NaN or infinite corner value fails the check at its location."""
-    return _alpha_pass(
-        g, params, *_grid_samples(box, grid), denom_tol=denom_tol, with_envelope=False, with_structure=True
-    ).structure
+    return _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol, candidate=True).structure
 
 
 @_masked_out_invalid
@@ -910,8 +886,8 @@ def check_boundary(
 ) -> CheckReport:
     """Candidate envelope must match each target envelope endpoint-wise on its edge.
 
-    Raises :class:`NonFiniteValueError` when either envelope is NaN or infinite
-    at a feasible edge sample.
+    Raises :class:`NonFiniteValueError` when either envelope, or the residual
+    between them, is NaN or infinite at a feasible edge sample.
     """
     if not conditions:
         return CheckReport("boundary", True, 0.0, None, "no conditions")
@@ -936,10 +912,15 @@ def check_boundary(
         any_fb = any_fb or bool(((c.approximate | t.approximate) & feas[:, :, None]).any())
         # alpha-major views, so ties go to the lowest alpha, then the lowest edge position
         c_lo, c_hi, t_lo, t_hi = (v.transpose(2, 0, 1) for v in (c.lower, c.upper, t.lower, t.upper))
-        resid = np.maximum(
-            np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
-            np.abs(c_hi - t_hi) / (1.0 + np.abs(t_hi)),
-        )
+        with np.errstate(over="ignore"):  # finite envelopes far apart; checked below
+            resid = np.maximum(
+                np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
+                np.abs(c_hi - t_hi) / (1.0 + np.abs(t_hi)),
+            )
+        for alpha, plane in zip(alphas, resid):
+            error = _non_finite({"boundary residual": plane}, feas, e1[:, None], e2[None, :], float(alpha))
+            if error is not None:
+                raise error
         v, (at_alpha, at_x1, at_x2) = _masked_worst(resid, np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
         if v > worst:
             worst, loc = v, (at_x1, at_x2, at_alpha)
@@ -968,13 +949,13 @@ def verify(problem: ProblemSpec) -> Verdict:
     the first failing gate (or BF_SOLUTION), but every report that could be
     computed is carried for diagnostics.  Near-zero envelope denominators,
     non-finite values and expression domain errors surface as structure
-    evidence.  Structure, Y and Gamma come from one pass over the alpha slices
-    of G; F has its own.
+    evidence.  Structure, Y and Gamma come from the candidate pass over the
+    alpha slices of G; F has its own envelope-only pass.
     """
     tols = problem.tolerances
     g_pass = _alpha_pass(
         problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y, tols.denom_tol,
-        with_structure=True, with_gamma=True,
+        candidate=True,
     )
     reports: dict[str, CheckReport] = {"structure": g_pass.structure}
     curves_error = None
@@ -994,7 +975,8 @@ def verify(problem: ProblemSpec) -> Verdict:
         if f_curve is not None:
             reports["equality"] = check_equality(gamma, f_curve, tols.eq_tol)
     except (NearZeroDenominatorError, EvalError, NonFiniteValueError) as err:
-        reports["structure"] = _structure_evidence(reports["structure"], err)
+        if err is not curves_error:  # one failed sign probe fails Y and Gamma alike
+            reports["structure"] = _structure_evidence(reports["structure"], err)
         curves_error = curves_error or err
 
     try:
@@ -1016,13 +998,8 @@ def verify(problem: ProblemSpec) -> Verdict:
 
 
 def compute_curves(problem: ProblemSpec) -> list[EnvelopeCurve]:
-    """The Y, F and GAMMA curves for a problem, in that order (plot/CSV surface)."""
-    g_pass = _alpha_pass(
-        problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y,
-        problem.tolerances.denom_tol, with_gamma=True,
-    )
-    return [
-        _result(g_pass.envelope, g_pass.envelope_error),
-        envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F),
-        _result(g_pass.gamma, g_pass.gamma_error),
-    ]
+    """The Y, F and GAMMA curves :func:`verify` checks, in that order (plot/CSV
+    surface); raises the verdict's ``curves_error`` when one of them could not
+    be computed."""
+    verdict = verify(problem)
+    return _result(verdict.curves, verdict.curves_error)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,10 +91,10 @@ class TestCheck:
 
 class TestCheckCurves:
     @staticmethod
-    def _problem(tmp_path, g_text):
+    def _problem(tmp_path, g_text, **updates):
         path = tmp_path / "problem.json"
         doc = json.loads((PROBLEMS / "worked_example.json").read_text())
-        doc.update(G=g_text, grid={"n_x1": 9, "n_x2": 9, "n_alpha": 5})
+        doc.update(G=g_text, grid={"n_x1": 9, "n_x2": 9, "n_alpha": 5}, **updates)
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
 
@@ -137,6 +138,26 @@ class TestCheckCurves:
         assert run(["check", str(path), "--curves", str(tmp_path / "c.csv")]) == 2
         assert "error: non-finite" in capsys.readouterr().err
 
+    def test_overflowing_boundary_residual_fails_loudly(self, tmp_path, capsys):
+        # both edge envelopes are finite, but their difference overflows
+        boundary = [{"fix": "x2", "at": 0, "target": "0 - 1.7e308 - gamma"}]
+        path = self._problem(tmp_path, "x1^beta * x2 + gamma*1e307", boundary=boundary)
+        report = tmp_path / "report.json"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", str(path), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == ""
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert doc["outcome"] == "STRUCTURE_FAILS"
+        structure = doc["checks"][0]
+        assert structure["note"] == "non-finite boundary residual = inf at (x1=1, x2=0, alpha=0)"
+        assert structure["location"] == {"x1": 1.0, "x2": 0.0, "alpha": 0.0}
+        assert "boundary" not in [c["name"] for c in doc["checks"]]
+
 
 class TestValidate:
     def test_valid_file(self, capsys):
@@ -170,6 +191,19 @@ class TestCurves:
         capsys.readouterr()
         assert code == 0
         assert out_path.exists()
+
+    def test_infeasible_constraint_exits_two_as_check_does(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        doc = json.loads((PROBLEMS / "worked_example.json").read_text())
+        doc["domain"]["constraint"] = "0 - 1"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["check", str(path)]) == 2
+        check_err = capsys.readouterr().err
+        assert check_err == "error: no grid samples satisfy the domain constraint\n"
+        out_path = tmp_path / "curves.csv"
+        assert run(["curves", str(path), "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == check_err
+        assert not out_path.exists()
 
     def test_out_flag_required(self, capsys):
         code = run(["curves", str(PROBLEMS / "crisp_example.json")])

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from bfpde.engine import (
 )
 from bfpde.expr import parse, evaluate
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
-from bfpde.io import report_to_dict
+from bfpde.io import load_problem, report_to_dict
 
 from randexpr import random_monotone_instance
 
@@ -487,12 +488,19 @@ class TestVerify:
             assert (c.lower <= c.upper).all()
 
     def test_verdict_carries_the_curves_it_checked(self):
-        verdict = verify(worked_problem())
-        assert verdict.curves_error is None
-        for got, want in zip(verdict.curves, compute_curves(worked_problem()), strict=True):
-            assert got.role == want.role
-            for name in ("lower", "upper", "approximate", "feasible"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+        # the corner route and, for not_differentiable.json, the dense fallback
+        shipped = Path(__file__).resolve().parents[1] / "problems" / "not_differentiable.json"
+        for problem in (worked_problem(), load_problem(shipped)):
+            verdict = verify(problem)
+            assert verdict.curves_error is None
+            p, box, grid = problem.parameters, problem.box, problem.grid
+            independent = (envelope_curve(problem.g, p, box, grid, "Y"), envelope_curve(problem.f, p, box, grid, "F"),
+                           gamma_curves(problem.g, p, box, grid, problem.tolerances.denom_tol))
+            for got, want in zip(verdict.curves, independent, strict=True):
+                assert got.role == want.role
+                for name in ("lower", "upper", "approximate", "feasible"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert verdict.curves[2].approximate.any()
 
     def test_verdict_carries_the_error_compute_curves_raises(self):
         g_text = "(beta - 0.5)^2 * x1 * x2 + gamma"
@@ -503,8 +511,11 @@ class TestVerify:
         assert verdict.curves is None
         assert isinstance(verdict.curves_error, NearZeroDenominatorError)
         with pytest.raises(NearZeroDenominatorError) as raised:
-            compute_curves(problem)
+            gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
         assert str(raised.value) == str(verdict.curves_error)
+        with pytest.raises(NearZeroDenominatorError) as again:
+            compute_curves(problem)
+        assert str(again.value) == str(raised.value)
 
     def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
         # Evaluations that return a whole 21x21 (x1, x2) slice.  Per alpha level
@@ -545,6 +556,32 @@ class TestVerify:
         assert verdict.report("structure").note == "ln of non-positive value (in 'ln(x1 - 2)')"
         assert [c.name for c in verdict.checks] == ["structure", "differentiability", "boundary"]
         assert len(passes) == 2
+
+    def test_failed_sign_probe_is_reported_once(self):
+        # dG/dbeta = x2*x1/(2*sqrt(beta)) divides by zero at beta = 0, which
+        # fails the Y envelope and Gamma with one error
+        params = FuzzyVector((("beta", TriangularFuzzyNumber(0.0, 0.5, 1.0)),
+                              ("gamma", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
+        base = worked_problem(GridSpec(9, 9, 3))
+        g_text = "x2*sqrt(beta)*x1 + gamma"
+        problem = ProblemSpec(base.name, g_text, base.f_text, parse(g_text, P), base.f, params, base.box, base.grid)
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        error = "division by zero (in '1 / (2 * sqrt(beta))')"
+        assert verdict.report("structure").note == f"dG/dx2 is not one-signed and bounded away from zero; {error}"
+        assert str(verdict.curves_error) == error
+
+    def test_more_than_16_parameters_are_rejected(self):
+        names = tuple(f"p{j}" for j in range(17))
+        params = FuzzyVector(tuple((name, TriangularFuzzyNumber(1.0, 2.0, 3.0)) for name in names))
+        g = parse("x2 * (" + " + ".join(names) + ") + x1", names)
+        box = DomainBox(1.0, 2.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="at most 16"):
+            envelope(g, params, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="at most 16"):
+            envelope_curve(g, params, box, GridSpec(2, 2, 2), "Y")
+        with pytest.raises(ValueError, match="at most 16"):
+            gamma_curves(g, params, box, GridSpec(2, 2, 2))
 
 
 class TestNonFinite:
