@@ -19,23 +19,23 @@ and boundary conditions.
 Envelope strategy
 -----------------
 Each alpha slice of the grid is visited once per expression.  For G, that one
-candidate pass serves the structure check, the Y envelope and Gamma: G and
-dG/dx2 are evaluated at every cut-box corner once, and each parameter's partial
-of G is probed at the box center and at every box corner once.  If no
-parameter shows strictly opposite signs across those probes, the extremum is
-attained at a corner and the envelope is the exact min/max of the corner
-values; Gamma then substitutes the extremal corner into the symbolic partials
-(ties between corners are re-broken by probing the tied corners at a point
-nudged slightly into the domain interior, which keeps the corner selection
-consistent with the envelope's one-sided derivative at boundary samples).
-Otherwise the sample falls back to dense sampling of the box, is flagged
-approximate, and its Gamma values are computed by central finite differences
-of the envelope instead of the symbolic partials.  Checks that consume
-approximate samples run at a widened tolerance (``FALLBACK_TOL``) because the
-fallback route carries sampling plus O(h^2) noise that the fully symbolic route
-does not.  A NaN or infinite corner value, envelope or Gamma value at a
-feasible sample is reported as structure evidence with its location, never
-passed on to the checks.
+candidate pass serves the structure check, the Y envelope and Gamma.  The 2^k
+cut-box corners are a leading array axis: G and dG/dx2 are each evaluated once
+over all corners, and each parameter's partial of G once over the box center
+and the corners.  If no parameter shows strictly opposite signs across those
+probes, the extremum is attained at a corner and the envelope is the exact
+min/max of the corner values; Gamma then substitutes the extremal corner into
+the symbolic partials (ties between corners are re-broken by probing the tied
+corners at a point nudged slightly into the domain interior, which keeps the
+corner selection consistent with the envelope's one-sided derivative at
+boundary samples).  Otherwise the sample falls back to dense sampling of the
+box, is flagged approximate, and its Gamma values are computed by central
+finite differences of the envelope instead of the symbolic partials.  Checks
+that consume approximate samples run at a widened tolerance (``FALLBACK_TOL``)
+because the fallback route carries sampling plus O(h^2) noise that the fully
+symbolic route does not.  A NaN or infinite corner value, envelope or Gamma
+value at a feasible sample is reported as structure evidence with its location,
+never passed on to the checks.
 
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
@@ -347,45 +347,41 @@ def _eval_box(expr: Expression, names, lattice: np.ndarray, x1f: np.ndarray, x2f
     return np.broadcast_to(out, (x1f.size, lattice.shape[1]))
 
 
-def _corner_binding(base: dict, names, los, his, c: int) -> dict:
-    binding = dict(base)
-    for j, name in enumerate(names):
-        binding[name] = his[j] if (c >> j) & 1 else los[j]
-    return binding
+def _corner_values(exprs, names, los, his, base: dict, shape, center: bool = False) -> list[np.ndarray]:
+    """Each expression at every cut-box corner (after the box center, with
+    ``center``), as read-only ``(n,) + shape`` arrays from one evaluation over
+    a leading probe axis.  Corner c has bit j set when parameter j sits at
+    its upper cut end.  A degenerate cut binds as a scalar, and an evaluation
+    error replays the probes one at a time, so values and errors are those
+    of a per-probe loop."""
+    bits = (np.arange(2 ** los.size) >> np.arange(los.size)[:, None]) & 1
+    ends = np.where(bits == 1, his[:, None], los[:, None])
+    if center:
+        ends = np.hstack([0.5 * (los + his)[:, None], ends])
 
+    def bind(cols) -> dict:
+        return dict(base, **{name: los[j] if los[j] == his[j] else ends[j, cols][:, None, None]
+                             for j, name in enumerate(names)})
 
-def _corner_values(exprs, names, los, his, base: dict, shape) -> list[np.ndarray]:
-    """Each expression at every cut-box corner, as a ``(2^k,) + shape`` array.
-
-    Corner index c has bit j set when parameter j sits at its upper cut end.
-    """
-    out = [np.empty((2 ** len(names),) + tuple(shape)) for _ in exprs]
-    for c in range(2 ** len(names)):
-        binding = _corner_binding(base, names, los, his, c)
-        for values, expr in zip(out, exprs):
-            values[c] = _as_mesh(evaluate(expr, binding), shape)
-    return out
+    try:
+        binding = bind(slice(None))
+        return [_as_mesh(evaluate(expr, binding), (ends.shape[1],) + tuple(shape)) for expr in exprs]
+    except EvalError:
+        for c in range(ends.shape[1]):
+            for expr in exprs:
+                evaluate(expr, bind(slice(c, c + 1)))
+        raise
 
 
 def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
     """Samples whose extremum may lie inside the box: some parameter's partial
     takes strictly opposite signs across the box center and corners."""
-    k = len(names)
     fallback = np.zeros(shape, dtype=bool)
-    center = dict(base)
-    for j, name in enumerate(names):
-        center[name] = 0.5 * (los[j] + his[j])
-    probes = [center] + [_corner_binding(base, names, los, his, c) for c in range(2**k)]
-    for j in range(k):
+    for j in range(len(names)):
         if his[j] == los[j] or not free_variables(partials[j]) & set(names):
             continue  # degenerate axis, or a partial that takes one value at every probe
-        has_pos = np.zeros(shape, dtype=bool)
-        has_neg = np.zeros(shape, dtype=bool)
-        for probe in probes:
-            d = _as_mesh(evaluate(partials[j], probe), shape)
-            has_pos |= d > 0.0
-            has_neg |= d < 0.0
-        fallback |= has_pos & has_neg
+        (d,) = _corner_values((partials[j],), names, los, his, base, shape, center=True)
+        fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
 
 
@@ -511,10 +507,10 @@ def _alpha_pass(
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
-        raise ValueError(f"structure check enumerates box corners; at most {CORNER_PARAM_LIMIT} parameters")
+        raise ValueError(f"every envelope enumerates the 2^k cut-box corners; at most {CORNER_PARAM_LIMIT} parameters")
     X1, X2 = x1p[:, None], x2p[None, :]
     shape = (x1p.size, x2p.size)
-    if candidate and not feas.any():
+    if not feas.any():
         raise ValueError("no grid samples satisfy the domain constraint")
     base = {"x1": X1, "x2": X2}
     partials = [differentiate(expr, name) for name in names]

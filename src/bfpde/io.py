@@ -30,6 +30,8 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .engine import (
     BoundaryCondition,
@@ -322,16 +324,11 @@ def emit_curves(curves: list[EnvelopeCurve], path) -> None:
     """
     lines = ["role,x1,x2,alpha,lower,upper"]
     for curve in sorted(curves, key=lambda c: c.role):
-        n1, n2, na = curve.shape
-        for i1 in range(n1):
-            x1 = repr(float(curve.x1[i1]))
-            for i2 in range(n2):
-                if not curve.feasible[i1, i2]:
-                    continue
-                x2 = repr(float(curve.x2[i2]))
-                for k in range(na):
-                    lines.append(
-                        f"{curve.role},{x1},{x2},{repr(float(curve.alpha[k]))},"
-                        f"{repr(float(curve.lower[i1, i2, k]))},{repr(float(curve.upper[i1, i2, k]))}"
-                    )
+        # format column by column; one row prefix per feasible (x1, x2)
+        x1s, x2s, alphas = (list(map(repr, axis.tolist())) for axis in (curve.x1, curve.x2, curve.alpha))
+        for i1, i2 in np.argwhere(curve.feasible).tolist():
+            prefix = f"{curve.role},{x1s[i1]},{x2s[i2]},"
+            lower = map(repr, curve.lower[i1, i2].tolist())
+            upper = map(repr, curve.upper[i1, i2].tolist())
+            lines.extend(f"{prefix}{a},{lo},{hi}" for a, lo, hi in zip(alphas, lower, upper))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

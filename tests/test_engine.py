@@ -34,7 +34,7 @@ from bfpde.engine import (
     gamma_curves,
     verify,
 )
-from bfpde.expr import parse, evaluate
+from bfpde.expr import EvalError, differentiate, evaluate, parse
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
 from bfpde.io import load_problem, report_to_dict
 
@@ -475,6 +475,10 @@ class TestVerify:
         )
         with pytest.raises(ValueError, match="constraint"):
             verify(impossible)
+        # the envelope-only pass raises too, instead of returning an empty curve
+        for role, expr in (("Y", problem.g), ("F", problem.f)):
+            with pytest.raises(ValueError, match="no grid samples satisfy the domain constraint"):
+                envelope_curve(expr, problem.parameters, impossible.box, problem.grid, role)
 
     def test_verdict_is_deterministic(self):
         a = verify(worked_problem())
@@ -517,29 +521,57 @@ class TestVerify:
             compute_curves(problem)
         assert str(again.value) == str(raised.value)
 
-    def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
-        # Evaluations that return a whole 21x21 (x1, x2) slice.  Per alpha level
-        # (11 of them): G at the 4 box corners, G at the 4 corners nudged into
-        # the interior (x1 = 1 ties every corner in beta), Gamma's numerator
-        # and denominator at the 2 selected corners, and F at its 4 corners.
-        # The beta-partial of G is probed at the center and the 4 corners on
-        # the 10 levels below alpha = 1.  dG/dx2 = x1^beta is a column, and the
-        # other partials are parameter-free, so neither is counted.
-        problem = worked_problem()
-        shape = (problem.grid.n_x1, problem.grid.n_x2)
+    @staticmethod
+    def _count_evaluations(monkeypatch, problem) -> list:
+        """Verify ``problem``; returns the shape of every ``evaluate`` result."""
         calls = []
         original = bfpde.engine.evaluate
 
         def counting(expr, binding):
             value = original(expr, binding)
-            calls.append(np.shape(value) == shape)
+            calls.append(np.shape(value))
             return value
 
         monkeypatch.setattr(bfpde.engine, "evaluate", counting)
         verdict = verify(problem)
+        monkeypatch.undo()
         assert verdict.outcome == BF_SOLUTION
-        assert sum(calls) <= 11 * (4 + 4 + 4 + 4) + 10 * 5
+        return calls
 
+    def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
+        # Every evaluate call counts.  Per alpha level (11 of them): G and
+        # dG/dx2 over the 4 box corners, G over the 4 corners nudged into the
+        # interior (x1 = 1 ties every corner in beta), Gamma's numerator and
+        # denominator at the 2 selected corners, and F over its 4 corners.
+        # The beta-partial of G is probed over the center and the 4 corners on
+        # the 10 levels below alpha = 1.  The other partials are
+        # parameter-free, so they are not probed.
+        calls = self._count_evaluations(monkeypatch, worked_problem())
+        assert len(calls) <= 11 * (1 + 1 + 1 + 4 + 1) + 10 * 1
+        # the corners and probes are a leading axis of one evaluation
+        assert (4, 21, 21) in calls and (5, 21, 21) in calls
+
+    @staticmethod
+    def many_params_problem(k: int) -> ProblemSpec:
+        """The benchmark's many-params family: G = x2*exp(x1*S), F = x2*S,
+        S = b0 + ... + b(k-1), each b_j a positive triangle."""
+        names = tuple(f"b{j}" for j in range(k))
+        s = " + ".join(names)
+        params = FuzzyVector(tuple(
+            (name, TriangularFuzzyNumber(0.1 + 0.01 * j, 0.15 + 0.01 * j, 0.2 + 0.01 * j))
+            for j, name in enumerate(names)
+        ))
+        g_text, f_text = f"x2*exp(x1*({s}))", f"x2*({s})"
+        return ProblemSpec(f"many-params-k{k}", g_text, f_text, parse(g_text, names), parse(f_text, names),
+                           params, DomainBox(0.5, 1.5, 0.0, 2.0, x2_min_open=True), GridSpec(9, 9, 6))
+
+    def test_evaluations_grow_with_the_partials_not_the_corners(self, monkeypatch):
+        # three more parameters add one sign-probe evaluation each per alpha
+        # level below 1; one evaluation per probe would make k * (1 + 2^k)
+        # sign-probe calls per level, 27 at k = 3 and 390 at k = 6
+        counts = {k: len(self._count_evaluations(monkeypatch, self.many_params_problem(k))) for k in (3, 6)}
+        assert counts[6] - counts[3] <= 3 * 6
+        assert counts[6] <= 6 * (1 + 1 + 1 + 4 + 1 + 6)
 
     def test_failed_f_envelope_is_reported_once(self, monkeypatch):
         # F's envelope raises; equality is skipped instead of recomputing it
@@ -576,12 +608,97 @@ class TestVerify:
         params = FuzzyVector(tuple((name, TriangularFuzzyNumber(1.0, 2.0, 3.0)) for name in names))
         g = parse("x2 * (" + " + ".join(names) + ") + x1", names)
         box = DomainBox(1.0, 2.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="at most 16"):
+        with pytest.raises(ValueError, match="at most 16") as raised:
             envelope(g, params, 1.0, 1.0, 0.5)
+        # every pass enumerates the corners, not only the structure check
+        assert str(raised.value) == "every envelope enumerates the 2^k cut-box corners; at most 16 parameters"
         with pytest.raises(ValueError, match="at most 16"):
             envelope_curve(g, params, box, GridSpec(2, 2, 2), "Y")
         with pytest.raises(ValueError, match="at most 16"):
             gamma_curves(g, params, box, GridSpec(2, 2, 2))
+
+    def test_evaluation_error_follows_the_corner_order(self):
+        # ln(3 - b) fails first in tree order, at the corners with b = 3;
+        # sqrt(a) fails first in corner order, at corner 0 (a = -1, b = 1)
+        names = ("a", "b")
+        params = FuzzyVector((("a", TriangularFuzzyNumber(-1.0, 1.0, 2.0)),
+                              ("b", TriangularFuzzyNumber(1.0, 2.0, 3.0))))
+        g_text = "x2*(ln(3 - b) + sqrt(a + 2) + sqrt(a)) + 10"
+        problem = ProblemSpec("corner-order", g_text, "a*x2", parse(g_text, names), parse("a*x2", names),
+                              params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(5, 5, 3))
+        error = "sqrt of negative value (in 'sqrt(a)')"
+        for run in (
+            lambda: verify(problem),
+            lambda: check_structure(problem.g, params, problem.box, problem.grid),
+            lambda: envelope_curve(problem.g, params, problem.box, problem.grid, "Y"),
+            lambda: envelope(problem.g, params, 1.5, 1.5, 0.0),
+        ):
+            with pytest.raises(EvalError) as raised:
+                run()
+            assert str(raised.value) == error
+
+
+class TestProbeAxis:
+    """The corners and sign probes evaluated as one leading array axis give,
+    bit for bit, what one plain evaluation per corner and per probe gives."""
+
+    @staticmethod
+    def corner_bindings(names, los, his, base):
+        for c in range(2 ** len(names)):
+            binding = dict(base)
+            for j, name in enumerate(names):
+                binding[name] = his[j] if (c >> j) & 1 else los[j]
+            yield binding
+
+    def per_corner_values(self, expr, names, los, his, base, shape):
+        return np.stack([np.broadcast_to(np.asarray(evaluate(expr, b), dtype=float), shape)
+                         for b in self.corner_bindings(names, los, his, base)])
+
+    def per_probe_fallback(self, g, names, los, his, base, shape):
+        center = dict(base, **{name: 0.5 * (los[j] + his[j]) for j, name in enumerate(names)})
+        probes = [center, *self.corner_bindings(names, los, his, base)]
+        fallback = np.zeros(shape, dtype=bool)
+        for j, name in enumerate(names):
+            if los[j] == his[j]:
+                continue  # a degenerate axis has one point; its extremum is there
+            signs = [np.broadcast_to(evaluate(differentiate(g, name), b), shape) for b in probes]
+            fallback |= np.logical_or.reduce([d > 0.0 for d in signs]) & np.logical_or.reduce([d < 0.0 for d in signs])
+        return fallback
+
+    def assert_matches(self, g, exprs, params, box, grid) -> int:
+        """Compare every alpha slice; returns the number of fallback samples."""
+        names = params.names
+        x1p, x2p, alphas = bfpde.engine.grid_axes(box, grid)
+        base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
+        partials = [differentiate(g, name) for name in names]
+        fallbacks = 0
+        for alpha in alphas:
+            los, his = bfpde.engine._cut_arrays(params, float(alpha))
+            got = bfpde.engine._corner_values(exprs, names, los, his, base, shape)
+            for values, expr in zip(got, exprs):
+                want = self.per_corner_values(expr, names, los, his, base, shape)
+                assert np.ascontiguousarray(values).tobytes() == want.tobytes()
+            fallback = bfpde.engine._sign_fallback(partials, names, los, his, base, shape)
+            assert np.array_equal(fallback, self.per_probe_fallback(g, names, los, his, base, shape))
+            fallbacks += int(fallback.sum())
+        return fallbacks
+
+    def test_random_monotone_instances(self):
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            g_text, params, box = random_monotone_instance(rng)
+            g = parse(g_text, params.names)
+            self.assert_matches(g, (g, differentiate(g, "x2")), params, box, GridSpec(7, 6, 5))
+
+    @pytest.mark.parametrize("name", ["worked_example", "boundary_example", "not_differentiable"])
+    def test_shipped_problems(self, name):
+        problem = load_problem(Path(__file__).resolve().parents[1] / "problems" / f"{name}.json")
+        exprs = (problem.g, differentiate(problem.g, "x2"), problem.f)
+        fallbacks = self.assert_matches(problem.g, exprs, problem.parameters, problem.box, problem.grid)
+        for cond in problem.boundary:
+            self.assert_matches(cond.target, (cond.target,), problem.parameters, problem.box, problem.grid)
+        # not_differentiable.json sends samples to the fallback, so the mask is not all False
+        assert (name == "not_differentiable") == bool(fallbacks)
 
 
 class TestNonFinite:
