@@ -28,14 +28,17 @@ min/max of the corner values; Gamma then substitutes the extremal corner into
 the symbolic partials (ties between corners are re-broken by probing the tied
 corners at a point nudged slightly into the domain interior, which keeps the
 corner selection consistent with the envelope's one-sided derivative at
-boundary samples).  Otherwise the sample falls back to dense sampling of the
-box, is flagged approximate, and its Gamma values are computed by central
-finite differences of the envelope instead of the symbolic partials.  Checks
-that consume approximate samples run at a widened tolerance (``FALLBACK_TOL``)
-because the fallback route carries sampling plus O(h^2) noise that the fully
-symbolic route does not.  A NaN or infinite corner value, envelope or Gamma
-value at a feasible sample is reported as structure evidence with its location,
-never passed on to the checks.
+boundary samples).  Otherwise the sample falls back to the extremes of G over
+a dense lattice of the box and is flagged approximate.  Its Gamma values are
+still symbolic: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser
+(and likewise for the max), so Gamma substitutes the lattice point attaining
+each end, the first in lattice order on a tie, into the symbolic partials.
+The lattice sweep that fills the envelope yields those points.  Checks that
+consume approximate samples run at a widened tolerance (``FALLBACK_TOL``)
+because a lattice optimum is only as close to the true one as the lattice
+spacing.  A NaN or infinite corner value, envelope or Gamma value at a
+feasible sample is reported as structure evidence with its location, never
+passed on to the checks.
 
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
@@ -69,12 +72,11 @@ ROLE_GAMMA = "GAMMA"
 DEFAULT_EQ_TOL = 1e-8
 DEFAULT_MONO_TOL = 1e-8
 DEFAULT_DENOM_TOL = 1e-10
-FALLBACK_TOL = 1e-4  # noise floor of the dense-sampling + finite-difference route
+FALLBACK_TOL = 1e-4  # slack for the lattice spacing of the dense-sampling route
 FALLBACK_BOX_SAMPLES = 33  # per-axis lattice density of the dense fallback
 BOX_SAMPLE_BUDGET = 100_000  # total lattice size cap for many-parameter boxes
 CORNER_PARAM_LIMIT = 16  # parameter cap: every envelope enumerates the 2^k cut-box corners
 EDGE_NUDGE_REL = 1e-4  # tie-break probe offset, relative to the axis range
-FD_STEP_REL = 1e-5  # fallback finite-difference step, relative to the axis range
 
 _CHECK_OUTCOME = (
     ("structure", STRUCTURE_FAILS),
@@ -385,20 +387,25 @@ def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
     return fallback
 
 
-def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper) -> None:
-    """Overwrite the envelope at fallback samples with the dense-lattice extremes."""
+def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper):
+    """Overwrite the envelope at fallback samples with the dense-lattice
+    extremes.  Returns the lattice points attaining the lower and the upper
+    end, each a ``(k, q)`` array over the fallback samples in C order (the
+    first lattice point on a tie), or None when no sample falls back."""
     if not fallback.any():
-        return
+        return None
     idx = np.nonzero(fallback)
     lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
     w = _eval_box(expr, names, lattice, _as_mesh(X1, shape)[idx], _as_mesh(X2, shape)[idx])
-    lower[idx] = w.min(axis=1)
-    upper[idx] = w.max(axis=1)
+    rows = np.arange(w.shape[0])
+    at_lo, at_hi = w.argmin(axis=1), w.argmax(axis=1)
+    lower[idx] = w[rows, at_lo]
+    upper[idx] = w[rows, at_hi]
+    return lattice[:, at_lo], lattice[:, at_hi]
 
 
-def _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fallback):
-    """Bitmask indices of the corners attaining the corner envelope, -1 at
-    fallback samples."""
+def _extremal_corners(expr, names, los, his, values, lower, upper, nudged):
+    """Bitmask indices of the corners attaining the corner envelope."""
     at_lo = values == lower
     at_hi = values == upper
     if (at_lo.sum(axis=0) > 1).any() or (at_hi.sum(axis=0) > 1).any():
@@ -407,15 +414,9 @@ def _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fallb
         # point nudged into the domain interior, so the symbolic Gamma
         # matches the envelope's one-sided derivative
         X1n, X2n = nudged
-        (probed,) = _corner_values((expr,), names, los, his, {"x1": X1n, "x2": X2n}, fallback.shape)
-        corner_lo = np.where(at_lo, probed, np.inf).argmin(axis=0)
-        corner_hi = np.where(at_hi, probed, -np.inf).argmax(axis=0)
-    else:
-        corner_lo = values.argmin(axis=0)
-        corner_hi = values.argmax(axis=0)
-    corner_lo[fallback] = -1
-    corner_hi[fallback] = -1
-    return corner_lo, corner_hi
+        (probed,) = _corner_values((expr,), names, los, his, {"x1": X1n, "x2": X2n}, lower.shape)
+        return np.where(at_lo, probed, np.inf).argmin(axis=0), np.where(at_hi, probed, -np.inf).argmax(axis=0)
+    return values.argmin(axis=0), values.argmax(axis=0)
 
 
 def _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds):
@@ -514,86 +515,35 @@ def _alpha_pass(
         raise ValueError("no grid samples satisfy the domain constraint")
     base = {"x1": X1, "x2": X2}
     partials = [differentiate(expr, name) for name in names]
-    x1_bounds = (float(x1p[0]), float(x1p[-1]))
-    x2_bounds = (float(x2p[0]), float(x2p[-1]))
     if candidate:
         dg_dx1, dg_dx2 = differentiate(expr, "x1"), differentiate(expr, "x2")
-        nudged = _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds)
+        nudged = _nudged_coords(X1, X2, shape, (float(x1p[0]), float(x1p[-1])), (float(x2p[0]), float(x2p[-1])))
 
-    def corner_gamma(corner: np.ndarray, los, his, fb: np.ndarray, alpha: float) -> np.ndarray:
-        binding = {"x1": X1, "x2": X2}
-        for j, name in enumerate(names):
-            bit = (corner >> j) & 1
-            binding[name] = np.where(bit == 1, his[j], los[j])
-        num = _as_mesh(evaluate(dg_dx1, binding), shape)
-        den = _as_mesh(evaluate(dg_dx2, binding), shape)
-        exact = feas & ~fb
-        bad = exact & (np.abs(den) < denom_tol)
-        if bad.any():
-            pos = np.argwhere(bad)[0]
-            raise NearZeroDenominatorError(
-                float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(den[tuple(pos)])
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.divide(num, den)
-
-    @_masked_out_invalid
-    def fallback_gamma(fb, los, his, lo_env, up_env, alpha):
-        idx = np.nonzero(fb)
-        x1f = _as_mesh(X1, shape)[idx]
-        x2f = _as_mesh(X2, shape)[idx]
-        feas_f = feas[idx]
-        lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
-
-        def env_at(xa, xb):
-            w = _eval_box(expr, names, lattice, xa, xb)
-            return w.min(axis=1), w.max(axis=1)
-
-        results = []
-        for var_idx, (pts, bounds, other) in enumerate(
-            (
-                (x1f, x1_bounds, x2f),
-                (x2f, x2_bounds, x1f),
-            )
-        ):
-            lo_b, hi_b = bounds
-            h = FD_STEP_REL * (hi_b - lo_b)
-            up_ok = pts + h <= hi_b
-            dn_ok = pts - h >= lo_b
-            plus = np.minimum(pts + h, hi_b)
-            minus = np.maximum(pts - h, lo_b)
-            if var_idx == 0:
-                y1p, y2p = env_at(plus, other)
-                y1m, y2m = env_at(minus, other)
-            else:
-                y1p, y2p = env_at(other, plus)
-                y1m, y2m = env_at(other, minus)
-            y1c, y2c = lo_env[idx], up_env[idx]
-            both = up_ok & dn_ok
-            d_y1 = np.where(both, (y1p - y1m) / (2 * h), np.where(up_ok, (y1p - y1c) / h, (y1c - y1m) / h))
-            d_y2 = np.where(both, (y2p - y2m) / (2 * h), np.where(up_ok, (y2p - y2c) / h, (y2c - y2m) / h))
-            results.append((d_y1, d_y2))
-
-        (num1, num2), (den1, den2) = results
-        for den in (den1, den2):
-            bad = feas_f & (np.abs(den) < denom_tol)
+    def slice_gamma(los, his, alpha, corners, optima, fb):
+        # Danskin: each envelope end moves with G at the parameters attaining
+        # it, so its x-partials are G's there: the extremal corner, or the
+        # lattice optimum at a fallback sample
+        ends = []
+        for corner, optimum in zip(corners, optima or (None, None)):
+            binding = {"x1": X1, "x2": X2}
+            for j, name in enumerate(names):
+                binding[name] = np.where(((corner >> j) & 1) == 1, his[j], los[j])
+                if optimum is not None:
+                    binding[name][fb] = optimum[j]
+            num = _as_mesh(evaluate(dg_dx1, binding), shape)
+            den = _as_mesh(evaluate(dg_dx2, binding), shape)
+            bad = feas & (np.abs(den) < denom_tol)
             if bad.any():
-                pos = int(np.argmax(bad))
-                raise NearZeroDenominatorError(float(x1f[pos]), float(x2f[pos]), alpha, float(den[pos]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return idx, num1 / den1, num2 / den2
-
-    def slice_gamma(los, his, alpha, lower, upper, fb, corners):
-        g_lo = corner_gamma(corners[0], los, his, fb, alpha)
-        g_hi = corner_gamma(corners[1], los, his, fb, alpha)
-        if fb.any():
-            idx, g1f, g2f = fallback_gamma(fb, los, his, lower, upper, alpha)
-            g_lo[idx] = g1f
-            g_hi[idx] = g2f
-        error = _non_finite({"lower Gamma": g_lo, "upper Gamma": g_hi}, feas, X1, X2, alpha)
+                pos = np.argwhere(bad)[0]
+                raise NearZeroDenominatorError(
+                    float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(den[tuple(pos)])
+                )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ends.append(np.divide(num, den))
+        error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, X1, X2, alpha)
         if error is not None:
             raise error
-        return g_lo, g_hi
+        return ends
 
     # alpha-major buffers: every slice lands in one contiguous block
     planes = (alphas.size,) + shape
@@ -630,11 +580,11 @@ def _alpha_pass(
         lower, upper = values.min(axis=0), values.max(axis=0)
         if gamma_live:
             try:
-                corners = _extremal_corners(expr, names, los, his, values, lower, upper, nudged, fb)
+                corners = _extremal_corners(expr, names, los, his, values, lower, upper, nudged)
             except EvalError as err:
                 gam_err = err
         try:
-            _dense_fill(expr, names, los, his, X1, X2, shape, fb, lower, upper)
+            optima = _dense_fill(expr, names, los, his, X1, X2, shape, fb, lower, upper)
         except EvalError as err:
             env_err, gam_err = env_err or err, gam_err or err
             continue
@@ -645,7 +595,7 @@ def _alpha_pass(
             )
         if candidate and gam_err is None:
             try:
-                gam_lo[ki], gam_hi[ki] = slice_gamma(los, his, alpha, lower, upper, fb, corners)
+                gam_lo[ki], gam_hi[ki] = slice_gamma(los, his, alpha, corners, optima, fb)
             except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
                 gam_err = err
 
@@ -702,9 +652,9 @@ def gamma_curves(
 ) -> EnvelopeCurve:
     """Apply the quotient-of-partials operator to both envelope ends of ``g``.
 
-    Corner-strategy samples substitute the envelope-selecting corner parameters
-    into the symbolic partials of ``g``; fallback samples use central finite
-    differences of the densely sampled envelope (one-sided at domain edges).
+    Each end substitutes the parameters that attain it into the symbolic
+    partials of ``g`` (Danskin's theorem): the extremal cut-box corner on the
+    corner route, the lattice optimum at a dense-fallback sample.
 
     Raises :class:`NearZeroDenominatorError` when |dY/dx2| < denom_tol at a
     feasible sample; the caller reports that as structure evidence, since it

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
+import bfpde.cli
 import bfpde.engine
 from bfpde.engine import (
     BF_SOLUTION,
@@ -65,16 +67,34 @@ def worked_problem(grid=None, f_text="beta * x2 / x1", boundary=()):
     )
 
 
-def brute_envelope(g, params, x1, x2, alpha, m=33):
-    """Independent oracle: dense sampling of the cut box, endpoints included."""
+def lattice_sweep(g, params, x1, x2, alpha, m=33):
+    """Independent oracle: g at every point of a dense lattice over the cut
+    box, endpoints included; returns the lattice (name -> values) and g there."""
     cuts = [alpha_cut(t, alpha) for t in params.numbers]
     axes = [np.linspace(c.lo, c.hi, m) for c in cuts]
     mesh = np.meshgrid(*axes, indexing="ij")
-    binding = {"x1": x1, "x2": x2}
-    for name, grid_vals in zip(params.names, mesh):
-        binding[name] = grid_vals.ravel()
-    vals = np.asarray(evaluate(g, binding))
+    points = {name: grid_vals.ravel() for name, grid_vals in zip(params.names, mesh)}
+    vals = np.broadcast_to(np.asarray(evaluate(g, {"x1": x1, "x2": x2, **points})), mesh[0].size)
+    return points, vals
+
+
+def brute_envelope(g, params, x1, x2, alpha, m=33):
+    """Independent oracle: dense sampling of the cut box, endpoints included."""
+    _, vals = lattice_sweep(g, params, x1, x2, alpha, m)
     return float(vals.min()), float(vals.max())
+
+
+def lattice_optima(g, params, x1, x2, alpha, m=33):
+    """The parameter bindings at the first lattice argmin and argmax of g."""
+    points, vals = lattice_sweep(g, params, x1, x2, alpha, m)
+    return tuple({name: float(v[i]) for name, v in points.items()} for i in (int(vals.argmin()), int(vals.argmax())))
+
+
+def sympy_x_partials(g_text, names):
+    """dG/dx1 and dG/dx2 by sympy, as numpy functions of x1, x2 and the parameters."""
+    symbols = {name: sympy.Symbol(name) for name in ("x1", "x2", *names)}
+    g = sympy.sympify(g_text, locals=symbols)
+    return tuple(sympy.lambdify(list(symbols.values()), sympy.diff(g, symbols[x]), "numpy") for x in ("x1", "x2"))
 
 
 class TestGridSampling:
@@ -754,8 +774,8 @@ class TestNonFinite:
         assert "non-finite" not in report.note
 
     def test_overflow_outside_the_constraint_warns_nothing(self):
-        # every feasible value is finite; the checks and the fallback finite
-        # differences still compute over the overflowing infeasible samples
+        # every feasible value is finite; the checks and the fallback Gamma
+        # still compute over the overflowing infeasible samples
         def problem(g_text, constraint, boundary=()):
             box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse(constraint))
             base = self.problem(boundary)
@@ -767,13 +787,28 @@ class TestNonFinite:
             (problem(self.G_TEXT, "1 - x1 * x2"), EQUALITY_FAILS),
             (problem("x1^beta * x2 + gamma", "2 - x1", [BoundaryCondition("x2", 0.0, parse(target, P), target)]),
              BOUNDARY_FAILS),
-            (problem("x2*exp(3000*x1*((beta - 0.5)^2 + 0.01)) + gamma", "2 - x1"), NOT_DIFFERENTIABLE),
+            (problem("x2*exp(3000*x1*((beta - 0.5)^2 + 0.01)) + gamma", "2 - x1"), EQUALITY_FAILS),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for p, outcome in cases:
-                assert verify(p).outcome == outcome
+            verdicts = [verify(p) for p, _ in cases]
+            for p, _ in cases:
                 compute_curves(p)
+        assert [v.outcome for v in verdicts] == [outcome for _, outcome in cases]
+
+        # Gamma = 3000*x2*q(beta*) with q = (beta - 0.5)^2 + 0.01: 30*x2 on the
+        # lower end (beta* = 0.5) and non-increasing in alpha on the upper end
+        p, verdict = cases[2][0], verdicts[2]
+        assert verdict.report("differentiability").passed
+        gamma = verdict.curves[2]
+        fallback = np.argwhere(gamma.approximate & gamma.feasible[:, :, None])
+        assert fallback.size
+        for i1, i2, ia in fallback:
+            x1, x2, alpha = gamma.x1[i1], gamma.x2[i2], gamma.alpha[ia]
+            for end, at in zip((gamma.lower, gamma.upper), lattice_optima(p.g, p.parameters, x1, x2, alpha)):
+                want = 3000.0 * x2 * ((at["beta"] - 0.5) ** 2 + 0.01)
+                assert end[i1, i2, ia] == pytest.approx(want, rel=1e-12)
+            assert gamma.lower[i1, i2, ia] == pytest.approx(30.0 * x2, rel=1e-12)
 
     def test_boundary_envelope_overflow_is_structure_evidence(self):
         target = "gamma + exp(1000 * x1)"
@@ -785,3 +820,120 @@ class TestNonFinite:
         assert verdict.outcome == STRUCTURE_FAILS
         assert "boundary" not in [c.name for c in verdict.checks]
         assert verdict.report("structure").location == (1.0, 0.0, 0.0)
+
+
+class TestDanskinGamma:
+    """At a dense-fallback sample, Gamma is dG/dx1 / dG/dx2 at the lattice
+    point attaining each envelope end (Danskin's theorem), checked against
+    sympy partials at the optima of a lattice sweep written here."""
+
+    SHIPPED = Path(__file__).resolve().parents[1] / "problems" / "not_differentiable.json"
+
+    @staticmethod
+    def non_monotone_problem() -> ProblemSpec:
+        # dG/db changes sign inside every cut with alpha < 1; Gamma = F in
+        # closed form, the minimum sitting at b = 1
+        names = ("b", "c")
+        g_text, f_text = "x2*exp(x1*((b - 1)^2 + c))", "x2*((b - 1)^2 + c)"
+        params = FuzzyVector((("b", TriangularFuzzyNumber(0.7, 1.0, 1.3)),
+                              ("c", TriangularFuzzyNumber(0.12, 0.2, 0.27))))
+        return ProblemSpec("non-monotone", g_text, f_text, parse(g_text, names), parse(f_text, names), params,
+                           DomainBox(0.5, 1.5, 0.0, 2.0, x2_min_open=True), GridSpec(9, 9, 5))
+
+    def problem(self, which: str) -> ProblemSpec:
+        return load_problem(self.SHIPPED) if which == "not_differentiable" else self.non_monotone_problem()
+
+    @pytest.mark.parametrize("which", ["not_differentiable", "non_monotone"])
+    def test_fallback_gamma_is_the_sympy_quotient_at_the_lattice_optimum(self, which):
+        problem = self.problem(which)
+        gamma = verify(problem).curves[2]
+        d_x1, d_x2 = sympy_x_partials(problem.g_text, problem.parameters.names)
+        fallback = np.argwhere(gamma.approximate & gamma.feasible[:, :, None])
+        assert len(fallback) > gamma.approximate.size // 2
+        for i1, i2, ia in fallback:
+            x1, x2, alpha = gamma.x1[i1], gamma.x2[i2], gamma.alpha[ia]
+            optima = lattice_optima(problem.g, problem.parameters, x1, x2, alpha)
+            for end, at in zip((gamma.lower, gamma.upper), optima):
+                want = d_x1(x1, x2, **at) / d_x2(x1, x2, **at)
+                assert end[i1, i2, ia] == pytest.approx(want, rel=1e-12)
+
+    def test_fallback_gamma_equals_f_where_it_does_in_closed_form(self):
+        verdict = verify(self.non_monotone_problem())
+        assert verdict.outcome == BF_SOLUTION
+        assert verdict.curves[2].approximate.any()
+        assert verdict.report("equality").worst_violation <= 1e-12
+
+    def test_one_lattice_evaluation_per_fallback_slice(self, monkeypatch):
+        # the lattice sweep that fills the envelope also yields the optimum
+        # Gamma reads, so no other lattice-wide evaluation of G is made
+        problem = load_problem(self.SHIPPED)
+        calls = []
+        original = bfpde.engine.evaluate
+
+        def recording(expr, binding):
+            value = original(expr, binding)
+            calls.append((expr, np.shape(value)))
+            return value
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+        verdict = verify(problem)
+        monkeypatch.undo()
+        y_curve, f_curve, _ = verdict.curves
+        lattice = bfpde.engine.FALLBACK_BOX_SAMPLES  # one parameter: 33 lattice points
+        wide = [expr for expr, shape in calls if len(shape) == 2 and shape[1] == lattice]
+        slices = [int(c.approximate.any(axis=(0, 1)).sum()) for c in (y_curve, f_curve)]
+        assert slices[0] == problem.grid.n_alpha - 1
+        assert wide == [problem.g] * slices[0] + [problem.f] * slices[1]
+
+    def test_near_zero_denominator_at_a_lattice_optimum(self):
+        # beta = 0.5 zeroes dG/dx2 = (beta - 0.5)^2 * x1; it is an inner lattice
+        # point of the alpha = 0 cut and a corner of the alpha = 0.5 cut, where
+        # the structure scan finds it; the lattice optimum comes first in
+        # alpha order, at the first sample
+        params = FuzzyVector((("beta", TriangularFuzzyNumber(0.25, 0.75, 1.25)),
+                              ("gamma", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
+        g_text = "(beta - 0.5)^2 * x1 * x2 + gamma"
+        base = worked_problem(GridSpec(9, 9, 5))
+        problem = ProblemSpec("lattice-flat", g_text, base.f_text, parse(g_text, P), base.f, params,
+                              base.box, base.grid)
+        x2_first = float(axis_points(0.0, 5.0, True, False, 9, base.grid.epsilon_edge)[0])
+        y_curve = envelope_curve(problem.g, params, problem.box, problem.grid, "Y")
+        assert y_curve.approximate[0, 0, 0] and not y_curve.approximate[:, :, 2].any()
+        scan = check_structure(problem.g, params, problem.box, problem.grid)
+        assert scan.location == (1.0, x2_first, 0.5)
+
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        structure = verdict.report("structure")
+        assert structure.location == (1.0, x2_first, 0.0)
+        assert structure.note == (f"{scan.note}; near-zero envelope denominator |dY/dx2| = 0.000e+00 "
+                                  f"at (x1=1, x2={x2_first:g}, alpha=0)")
+        assert isinstance(verdict.curves_error, NearZeroDenominatorError)
+
+    @pytest.mark.parametrize("x", ["x1", "x2"])
+    def test_domain_error_in_a_partial_at_a_lattice_optimum(self, x, tmp_path, capsys):
+        # |beta - 0.5|*sqrt(x) is smooth in x away from beta = 0.5, but its
+        # symbolic x-partial divides 0 by 0 there; beta = 0.5 is the lower
+        # lattice optimum of the alpha = 0 cut and no probe or corner
+        g_text = f"x1 + x2 + sqrt((beta - 0.5)^2 * {x}) + gamma"
+        path = tmp_path / "kink.json"
+        path.write_text(json.dumps({
+            "name": "kink", "G": g_text, "F": "beta * x2 / x1",
+            "parameters": {"beta": [0.25, 0.75, 1.25], "gamma": [0, 1, 2]},
+            "domain": {"x1": [1, 5], "x2": [0, 5, "open", "closed"]},
+            "grid": {"n_x1": 9, "n_x2": 9, "n_alpha": 4},
+        }), encoding="utf-8")
+        problem = load_problem(path)
+        error = f"division by zero (in '(beta - 0.5)^2 / (2 * sqrt((beta - 0.5)^2 * {x}))')"
+
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert verdict.report("structure").note == error
+        assert [c.name for c in verdict.checks] == ["structure", "fuzzy_validity", "boundary"]
+        assert isinstance(verdict.curves_error, EvalError)
+        with pytest.raises(EvalError) as raised:
+            gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
+        assert str(raised.value) == error
+        capsys.readouterr()
+        assert bfpde.cli.run(["check", str(path), "--curves", str(tmp_path / "curves.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
