@@ -1,15 +1,12 @@
 """Command-line front end: load a problem file, verify it, emit artifacts.
 
 Exit codes: 0 = BF_SOLUTION (or a clean ``validate``), 1 = some check failed,
-2 = input or usage error.  ``BF_VERIFY_THREADS`` is still accepted and must be a
-positive integer when set, but it no longer changes anything: the engine makes
-one single-threaded pass per expression.
+2 = input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -53,18 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--out", metavar="PATH", required=True, help="output CSV path")
 
     return parser
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("BF_VERIFY_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ProblemFormatError("", f"BF_VERIFY_THREADS must be a positive integer, got {raw!r}")
 
 
 def _print_verdict(verdict: Verdict) -> None:
@@ -130,7 +115,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed usage/diagnostics
         return int(exc.code or 0)
     try:
-        _check_threads_env()
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "validate":

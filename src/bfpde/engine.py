@@ -38,7 +38,9 @@ consume approximate samples run at a widened tolerance (``FALLBACK_TOL``)
 because a lattice optimum is only as close to the true one as the lattice
 spacing.  A NaN or infinite corner value, envelope or Gamma value at a
 feasible sample is reported as structure evidence with its location, never
-passed on to the checks.
+passed on to the checks.  The four curve checks end in one gate that turns
+their worst residual into the report, so an overflowing residual (finite values
+too far apart to subtract) is structure evidence with its location in each.
 
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
@@ -324,8 +326,9 @@ def _cut_arrays(params: FuzzyVector, alpha: float) -> tuple[np.ndarray, np.ndarr
 
 # Values may be NaN or infinite at infeasible samples.  Code that computes over
 # whole arrays and masks those samples out afterwards runs under this, so numpy
-# does not warn about results nothing reads; feasible samples are checked.
-_masked_out_invalid = np.errstate(invalid="ignore")
+# does not warn about results nothing reads; feasible samples are checked, and
+# a residual that overflows there is caught by the check's gate.
+_masked_out_invalid = np.errstate(invalid="ignore", over="ignore")
 
 
 def _as_mesh(value, shape) -> np.ndarray:
@@ -679,14 +682,23 @@ def _masked_worst(values: np.ndarray, mask: np.ndarray, axes: tuple[np.ndarray, 
     return float(flat[pos]), loc
 
 
-def _widen(tol: float, curve_has_fallback: bool) -> float:
-    return max(tol, FALLBACK_TOL) if curve_has_fallback else tol
+def _endpoint_residual(lo, hi, ref_lo, ref_hi) -> np.ndarray:
+    """Relative end-to-end distance of the interval [lo, hi] from [ref_lo, ref_hi]."""
+    return np.maximum(np.abs(lo - ref_lo) / (1.0 + np.abs(ref_lo)), np.abs(hi - ref_hi) / (1.0 + np.abs(ref_hi)))
 
 
-def _fallback_note(widened: bool, tol_eff: float) -> str:
-    if not widened:
-        return ""
-    return f"dense-sampling fallback in effect; tolerance widened to {tol_eff:g}"
+def _gate(name: str, worst: float, loc, tol: float, widened: bool, fail_note: str = "") -> CheckReport:
+    """A check's report from its worst residual: pass within ``tol``, widened to
+    ``FALLBACK_TOL`` when the check consumed dense-fallback samples; a NaN or
+    infinite residual raises :class:`NonFiniteValueError` at ``loc``."""
+    if not np.isfinite(worst):
+        raise NonFiniteValueError(f"{name} residual", *loc, worst)
+    tol_eff = max(tol, FALLBACK_TOL) if widened else tol
+    passed = worst <= tol_eff
+    notes = [fail_note] if fail_note and not passed else []
+    if tol_eff != tol:
+        notes.append(f"dense-sampling fallback in effect; tolerance widened to {tol_eff:g}")
+    return CheckReport(name, passed, worst, loc, "; ".join(notes))
 
 
 def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
@@ -737,7 +749,7 @@ def _structure_report(slots, x1p, x2p, alphas, denom_tol: float, error: Exceptio
         loc = g_loc if pos_violation >= sign_violation else sign_loc
         note = ""
     report = CheckReport("structure", pos_ok and sign_ok, worst, loc, note)
-    return report if error is None else _structure_evidence(report, error)
+    return _structure_evidence(report, [] if error is None else [error])
 
 
 def check_structure(
@@ -755,7 +767,8 @@ def check_structure(
 
 @_masked_out_invalid
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
-    """Every envelope must satisfy lower <= upper at every feasible sample."""
+    """Every envelope must satisfy lower <= upper at every feasible sample
+    (an overflowing lower - upper raises :class:`NonFiniteValueError`)."""
     worst, loc, role = -np.inf, None, None
     for curve in curves:
         mask = curve.feasible[:, :, None] & np.ones(curve.shape, dtype=bool)
@@ -764,9 +777,7 @@ def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
             worst, loc, role = v, l, curve.role
     if loc is None:
         return CheckReport("fuzzy_validity", True, 0.0, None, "no feasible samples")
-    passed = worst <= 0.0
-    note = "" if passed else f"lower exceeds upper in the {role} envelope"
-    return CheckReport("fuzzy_validity", passed, worst, loc, note)
+    return _gate("fuzzy_validity", worst, loc, 0.0, False, f"lower exceeds upper in the {role} envelope")
 
 
 @_masked_out_invalid
@@ -777,11 +788,10 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     2. Gamma_2 non-increasing in alpha,
     3. Gamma_1 <= Gamma_2 at alpha = 1,
 
-    each within ``tol`` slack at every feasible (x1, x2).
+    each within ``tol`` slack at every feasible (x1, x2) (an overflowing
+    difference raises :class:`NonFiniteValueError`).
     """
     feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
-    axes = (gamma.x1, gamma.x2, gamma.alpha)
-    tol_eff = _widen(tol, bool((gamma.approximate & feas3).any()))
 
     # condition 1: drops of Gamma_1 across successive alpha samples
     d1 = -(gamma.lower[:, :, 1:] - gamma.lower[:, :, :-1])
@@ -797,28 +807,20 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     if not candidates:
         return CheckReport("differentiability", True, 0.0, None, "no feasible samples")
     worst, loc, cond = max(candidates, key=lambda t: t[0])
-    passed = worst <= tol_eff
-    note = _fallback_note(tol_eff != tol, tol_eff)
-    if not passed:
-        prefix = f"condition {cond} violated"
-        note = f"{prefix}; {note}" if note else prefix
-    return CheckReport("differentiability", passed, worst, loc, note)
+    widened = bool((gamma.approximate & feas3).any())
+    return _gate("differentiability", worst, loc, tol, widened, f"condition {cond} violated")
 
 
 @_masked_out_invalid
 def check_equality(gamma: EnvelopeCurve, f_curve: EnvelopeCurve, tol: float = DEFAULT_EQ_TOL) -> CheckReport:
-    """Gamma must equal the F envelope end-to-end: |Gamma_i - f_i| <= tol*(1+|f_i|)."""
+    """Gamma must equal the F envelope end-to-end: |Gamma_i - f_i| <= tol*(1+|f_i|)
+    (an overflowing residual raises :class:`NonFiniteValueError`)."""
     feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
-    resid_lo = np.abs(gamma.lower - f_curve.lower) / (1.0 + np.abs(f_curve.lower))
-    resid_hi = np.abs(gamma.upper - f_curve.upper) / (1.0 + np.abs(f_curve.upper))
-    resid = np.maximum(resid_lo, resid_hi)
+    resid = _endpoint_residual(gamma.lower, gamma.upper, f_curve.lower, f_curve.upper)
     worst, loc = _masked_worst(resid, feas3, (gamma.x1, gamma.x2, gamma.alpha))
     if worst is None:
         return CheckReport("equality", True, 0.0, None, "no feasible samples")
-    has_fb = bool(((gamma.approximate | f_curve.approximate) & feas3).any())
-    tol_eff = _widen(tol, has_fb)
-    passed = worst <= tol_eff
-    return CheckReport("equality", passed, worst, loc, _fallback_note(tol_eff != tol, tol_eff))
+    return _gate("equality", worst, loc, tol, bool(((gamma.approximate | f_curve.approximate) & feas3).any()))
 
 
 @_masked_out_invalid
@@ -856,35 +858,30 @@ def check_boundary(
         c = edge_envelope(candidate, "candidate", e1, e2, feas)
         t = edge_envelope(cond.target, "target", e1, e2, feas)
         any_fb = any_fb or bool(((c.approximate | t.approximate) & feas[:, :, None]).any())
-        # alpha-major views, so ties go to the lowest alpha, then the lowest edge position
-        c_lo, c_hi, t_lo, t_hi = (v.transpose(2, 0, 1) for v in (c.lower, c.upper, t.lower, t.upper))
-        with np.errstate(over="ignore"):  # finite envelopes far apart; checked below
-            resid = np.maximum(
-                np.abs(c_lo - t_lo) / (1.0 + np.abs(t_lo)),
-                np.abs(c_hi - t_hi) / (1.0 + np.abs(t_hi)),
-            )
-        for alpha, plane in zip(alphas, resid):
-            error = _non_finite({"boundary residual": plane}, feas, e1[:, None], e2[None, :], float(alpha))
-            if error is not None:
-                raise error
+        # alpha-major views, so ties (and the first overflow) go to the lowest
+        # alpha, then the lowest edge position
+        resid = _endpoint_residual(*(v.transpose(2, 0, 1) for v in (c.lower, c.upper, t.lower, t.upper)))
         v, (at_alpha, at_x1, at_x2) = _masked_worst(resid, np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
         if v > worst:
             worst, loc = v, (at_x1, at_x2, at_alpha)
+        if not np.isfinite(worst):
+            break  # the gate fails on the first condition whose residual overflows
 
     if loc is None:
         return CheckReport("boundary", True, 0.0, None, "no feasible boundary samples")
-    tol_eff = _widen(tol, any_fb)
-    passed = worst <= tol_eff
-    return CheckReport("boundary", passed, worst, loc, _fallback_note(tol_eff != tol, tol_eff))
+    return _gate("boundary", worst, loc, tol, any_fb)
 
 
 # --- verdict -----------------------------------------------------------------
 
-def _structure_evidence(previous: CheckReport, err: Exception) -> CheckReport:
-    loc = getattr(err, "location", None) or previous.location
-    worst = previous.worst_violation if not previous.passed else 0.0
-    note = f"{previous.note}; {err}" if previous.note else str(err)
-    return CheckReport("structure", False, worst, loc, note)
+def _structure_evidence(report: CheckReport, errors) -> CheckReport:
+    """The structure report failed by each error in turn."""
+    for err in errors:
+        loc = getattr(err, "location", None) or report.location
+        worst = report.worst_violation if not report.passed else 0.0
+        note = f"{report.note}; {err}" if report.note else str(err)
+        report = CheckReport("structure", False, worst, loc, note)
+    return report
 
 
 def verify(problem: ProblemSpec) -> Verdict:
@@ -896,41 +893,42 @@ def verify(problem: ProblemSpec) -> Verdict:
     computed is carried for diagnostics.  Near-zero envelope denominators,
     non-finite values and expression domain errors surface as structure
     evidence.  Structure, Y and Gamma come from the candidate pass over the
-    alpha slices of G; F has its own envelope-only pass.
+    alpha slices of G; F has its own envelope-only pass.  The curves are taken
+    first, so a check whose residual overflows fails structure but leaves
+    them in the verdict.
     """
     tols = problem.tolerances
     g_pass = _alpha_pass(
         problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y, tols.denom_tol,
         candidate=True,
     )
-    reports: dict[str, CheckReport] = {"structure": g_pass.structure}
-    curves_error = None
+    y_curve, f_curve, gamma = g_pass.envelope, None, g_pass.gamma
+    envelope_error = g_pass.envelope_error
+    if envelope_error is None:
+        try:
+            f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F)
+        except (EvalError, NonFiniteValueError) as err:
+            envelope_error = err
+    # one failed sign probe fails Y and Gamma alike, with one error
+    evidence = list(dict.fromkeys(e for e in (envelope_error, g_pass.gamma_error) if e is not None))
+    curves_error = evidence[0] if evidence else None
+    reports: dict[str, CheckReport] = {}
 
-    y_curve = f_curve = gamma = None
-    try:
-        y_curve = _result(g_pass.envelope, g_pass.envelope_error)
-        f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F)
-        reports["fuzzy_validity"] = check_fuzzy_validity([y_curve, f_curve])
-    except (EvalError, NonFiniteValueError) as err:
-        reports["structure"] = _structure_evidence(reports["structure"], err)
-        curves_error = err
+    def attempt(name: str, check, *args) -> None:
+        try:
+            reports[name] = check(*args)
+        except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
+            evidence.append(err)
 
-    try:
-        gamma = _result(g_pass.gamma, g_pass.gamma_error)
-        reports["differentiability"] = check_differentiability(gamma, tols.mono_tol)
+    if envelope_error is None:
+        attempt("fuzzy_validity", check_fuzzy_validity, [y_curve, f_curve])
+    if gamma is not None:
+        attempt("differentiability", check_differentiability, gamma, tols.mono_tol)
         if f_curve is not None:
-            reports["equality"] = check_equality(gamma, f_curve, tols.eq_tol)
-    except (NearZeroDenominatorError, EvalError, NonFiniteValueError) as err:
-        if err is not curves_error:  # one failed sign probe fails Y and Gamma alike
-            reports["structure"] = _structure_evidence(reports["structure"], err)
-        curves_error = curves_error or err
-
-    try:
-        reports["boundary"] = check_boundary(
-            problem.g, problem.parameters, problem.boundary, problem.box, problem.grid, tols.eq_tol,
-        )
-    except (EvalError, NonFiniteValueError) as err:
-        reports["structure"] = _structure_evidence(reports["structure"], err)
+            attempt("equality", check_equality, gamma, f_curve, tols.eq_tol)
+    attempt("boundary", check_boundary, problem.g, problem.parameters, problem.boundary, problem.box, problem.grid,
+            tols.eq_tol)
+    reports["structure"] = _structure_evidence(g_pass.structure, evidence)
 
     outcome = BF_SOLUTION
     for name, failure in _CHECK_OUTCOME:

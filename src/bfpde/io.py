@@ -48,9 +48,6 @@ from .fuzzy import FuzzyVector, TriangularFuzzyNumber
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _RESERVED = {"x1", "x2", *FUNCTIONS}
 
-_GRID_KEYS = ("n_x1", "n_x2", "n_alpha", "epsilon_edge")
-_TOL_KEYS = ("eq_tol", "mono_tol", "denom_tol")
-
 
 class ProblemFormatError(ValueError):
     """Schema or validation failure, locatable via its JSON pointer."""
@@ -173,33 +170,19 @@ def _load_boundary(obj, pointer, params) -> tuple[BoundaryCondition, ...]:
     return tuple(conditions)
 
 
-def _load_grid(obj, pointer) -> GridSpec:
-    defaults = GridSpec()
-    if obj is None:
-        return defaults
-    _require(obj, pointer, dict, "an object")
-    _no_unknown_keys(obj, pointer, _GRID_KEYS)
-    kwargs = {}
-    for key in ("n_x1", "n_x2", "n_alpha"):
-        if key in obj:
-            kwargs[key] = _count(obj[key], f"{pointer}/{key}")
-    if "epsilon_edge" in obj:
-        kwargs["epsilon_edge"] = _real(obj["epsilon_edge"], f"{pointer}/epsilon_edge")
+def _load_settings(cls, obj, pointer):
+    """A ``GridSpec`` or ``Tolerances`` from an optional object of its fields;
+    a field with an int default takes an integer, one with a float default a
+    number, and an absent field keeps its default."""
+    fields = asdict(cls())
+    if obj is not None:
+        _require(obj, pointer, dict, "an object")
+        _no_unknown_keys(obj, pointer, fields)
+        for key, default in fields.items():
+            if key in obj:
+                fields[key] = (_count if isinstance(default, int) else _real)(obj[key], f"{pointer}/{key}")
     try:
-        return GridSpec(**{**asdict(defaults), **kwargs})
-    except ValueError as err:
-        raise ProblemFormatError(pointer, str(err)) from err
-
-
-def _load_tolerances(obj, pointer) -> Tolerances:
-    defaults = Tolerances()
-    if obj is None:
-        return defaults
-    _require(obj, pointer, dict, "an object")
-    _no_unknown_keys(obj, pointer, _TOL_KEYS)
-    kwargs = {key: _real(obj[key], f"{pointer}/{key}") for key in _TOL_KEYS if key in obj}
-    try:
-        return Tolerances(**{**asdict(defaults), **kwargs})
+        return cls(**fields)
     except ValueError as err:
         raise ProblemFormatError(pointer, str(err)) from err
 
@@ -226,8 +209,8 @@ def load_problem(path) -> ProblemSpec:
     f = _parse_expr(raw["F"], "/F", parameters.names)
     box = _load_domain(raw["domain"], "/domain")
     boundary = _load_boundary(raw.get("boundary", []), "/boundary", parameters.names)
-    grid = _load_grid(raw.get("grid"), "/grid")
-    tolerances = _load_tolerances(raw.get("tolerances"), "/tolerances")
+    grid = _load_settings(GridSpec, raw.get("grid"), "/grid")
+    tolerances = _load_settings(Tolerances, raw.get("tolerances"), "/tolerances")
 
     try:
         return ProblemSpec(

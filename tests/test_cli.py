@@ -10,6 +10,14 @@ from bfpde.cli import run
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
+def strict_json(path):
+    """Parse a report, rejecting the non-standard NaN and Infinity constants."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestCheck:
     def test_worked_example_passes(self, capsys):
         code = run(["check", str(PROBLEMS / "worked_example.json")])
@@ -127,12 +135,8 @@ class TestCheckCurves:
     def test_non_finite_values_fail_loudly(self, tmp_path, capsys):
         path = self._problem(tmp_path, "x2*exp(100*beta*x1*x2) + gamma")
         report = tmp_path / "report.json"
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         assert run(["check", str(path), "--report", str(report)]) == 1
-        doc = json.loads(report.read_text(), parse_constant=reject)
+        doc = strict_json(report)
         assert doc["outcome"] == "STRUCTURE_FAILS"
         assert "non-finite" in doc["checks"][0]["note"]
         assert run(["check", str(path), "--curves", str(tmp_path / "c.csv")]) == 2
@@ -143,20 +147,36 @@ class TestCheckCurves:
         boundary = [{"fix": "x2", "at": 0, "target": "0 - 1.7e308 - gamma"}]
         path = self._problem(tmp_path, "x1^beta * x2 + gamma*1e307", boundary=boundary)
         report = tmp_path / "report.json"
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["check", str(path), "--report", str(report)]) == 1
         assert capsys.readouterr().err == ""
-        doc = json.loads(report.read_text(), parse_constant=reject)
+        doc = strict_json(report)
         assert doc["outcome"] == "STRUCTURE_FAILS"
         structure = doc["checks"][0]
         assert structure["note"] == "non-finite boundary residual = inf at (x1=1, x2=0, alpha=0)"
         assert structure["location"] == {"x1": 1.0, "x2": 0.0, "alpha": 0.0}
         assert "boundary" not in [c["name"] for c in doc["checks"]]
+
+    def test_overflowing_equality_residual_fails_loudly(self, tmp_path, capsys):
+        # Gamma and F are finite, but their difference overflows at beta = 1
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "G": "x2 + 1e307*x1*beta", "F": "0 - 1.79e308*beta", "parameters": {"beta": [0.5, 1, 1]},
+            "domain": {"x1": [1, 2], "x2": [1, 2]}, "grid": {"n_x1": 5, "n_x2": 5, "n_alpha": 3},
+        }), encoding="utf-8")
+        report, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", str(path), "--report", str(report), "--curves", str(curves)]) == 1
+        assert capsys.readouterr().err == ""
+        doc = strict_json(report)
+        assert doc["outcome"] == "STRUCTURE_FAILS"
+        structure = doc["checks"][0]
+        assert structure["note"] == "non-finite equality residual = inf at (x1=1, x2=1, alpha=0)"
+        assert structure["location"] == {"x1": 1.0, "x2": 1.0, "alpha": 0.0}
+        assert "equality" not in [c["name"] for c in doc["checks"]]
+        assert len(curves.read_text().splitlines()) == 1 + 3 * 5 * 5 * 3  # header, Y/F/GAMMA rows
 
 
 class TestValidate:
@@ -228,9 +248,3 @@ class TestUsage:
         monkeypatch.setenv("BF_VERIFY_THREADS", "3")
         assert run(["check", str(PROBLEMS / "crisp_example.json")]) == 0
         capsys.readouterr()
-
-    def test_invalid_worker_env_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("BF_VERIFY_THREADS", "zero")
-        assert run(["check", str(PROBLEMS / "crisp_example.json")]) == 2
-        err = capsys.readouterr().err
-        assert "BF_VERIFY_THREADS" in err

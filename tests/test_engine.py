@@ -821,6 +821,61 @@ class TestNonFinite:
         assert "boundary" not in [c.name for c in verdict.checks]
         assert verdict.report("structure").location == (1.0, 0.0, 0.0)
 
+    def test_first_overflowing_boundary_condition_wins(self):
+        # the second condition's residual overflows; the third condition's
+        # target envelope would overflow too, but it is never built
+        g_text = "x1^beta * x2 + gamma*1e307"
+        targets = (("x2", "gamma"), ("x2", "0 - 1.7e308 - gamma"), ("x1", "exp(1000*x2)"))
+        conds = tuple(BoundaryCondition(fix, 0.0 if fix == "x2" else 1.0, parse(t, P), t) for fix, t in targets)
+        problem = worked_problem(GridSpec(9, 9, 5))
+        with pytest.raises(NonFiniteValueError) as raised:
+            check_boundary(parse(g_text, P), problem.parameters, conds, problem.box, problem.grid)
+        assert str(raised.value) == "non-finite boundary residual = inf at (x1=1, x2=0, alpha=0)"
+
+    @staticmethod
+    def overflowing_equality_problem():
+        # Gamma = 1e307*beta and F = -1.79e308*beta are finite, but at beta = 1
+        # their difference exceeds the largest double
+        g_text, f_text = "x2 + 1e307*x1*beta", "0 - 1.79e308*beta"
+        params = FuzzyVector((("beta", TriangularFuzzyNumber(0.5, 1.0, 1.0)),))
+        return ProblemSpec("eq-overflow", g_text, f_text, parse(g_text, ("beta",)), parse(f_text, ("beta",)),
+                           params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(5, 5, 3))
+
+    def test_overflowing_equality_residual_is_structure_evidence(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = verify(self.overflowing_equality_problem())
+        assert verdict.outcome == STRUCTURE_FAILS
+        structure = verdict.report("structure")
+        assert structure.note == "non-finite equality residual = inf at (x1=1, x2=1, alpha=0)"
+        assert structure.location == (1.0, 1.0, 0.0)
+        assert [c.name for c in verdict.checks] == ["structure", "fuzzy_validity", "differentiability", "boundary"]
+        # the residual, not a curve, overflowed: the verdict keeps the curves
+        assert verdict.curves_error is None
+        assert [c.role for c in verdict.curves] == ["Y", "F", ROLE_GAMMA]
+        json.dumps(report_to_dict(verdict), allow_nan=False)
+
+    @staticmethod
+    def one_sample_curve(lower, upper):
+        lower, upper = (np.array(v, dtype=float).reshape(1, 1, -1) for v in (lower, upper))
+        return EnvelopeCurve(ROLE_GAMMA, np.array([1.0]), np.array([2.0]), np.linspace(0.0, 1.0, lower.shape[2]),
+                             lower, upper, np.zeros(lower.shape, dtype=bool), np.ones((1, 1), dtype=bool))
+
+    def test_overflowing_differentiability_residual_raises(self):
+        # the upper end rises by 2e308 between alpha = 0 and alpha = 1
+        curve = self.one_sample_curve([-1e308, -1e308], [-1e308, 1e308])
+        with pytest.raises(NonFiniteValueError) as raised:
+            check_differentiability(curve)
+        assert str(raised.value) == "non-finite differentiability residual = inf at (x1=1, x2=2, alpha=1)"
+        assert raised.value.location == (1.0, 2.0, 1.0)
+
+    def test_overflowing_fuzzy_validity_residual_raises(self):
+        curve = self.one_sample_curve([1e308, 1e308], [-1e308, -1e308])
+        with pytest.raises(NonFiniteValueError) as raised:
+            check_fuzzy_validity([curve])
+        assert str(raised.value) == "non-finite fuzzy_validity residual = inf at (x1=1, x2=2, alpha=0)"
+        assert raised.value.location == (1.0, 2.0, 0.0)
+
 
 class TestDanskinGamma:
     """At a dense-fallback sample, Gamma is dG/dx1 / dG/dx2 at the lattice

@@ -123,6 +123,20 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError, match="expected an integer"):
             load_problem(write_problem(tmp_path, obj))
 
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"eq_tol": 0}, "/tolerances: eq_tol must be positive, got 0.0"),
+        ({"mono_tol": -1e-8}, "/tolerances: mono_tol must be positive, got -1e-08"),
+        ({"denom_tol": "1e-10"}, "/tolerances/denom_tol: expected a number, got str"),
+        ({"eq_tol": True}, "/tolerances/eq_tol: expected a number, got bool"),
+        ({"abs_tol": 1e-8}, "/tolerances: unknown keys ['abs_tol']"),
+        ([1e-8], "/tolerances: expected an object, got list"),
+    ])
+    def test_tolerances_validated(self, tmp_path, tolerances, message):
+        obj = minimal_problem(tolerances=tolerances)
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(write_problem(tmp_path, obj))
+        assert str(err.value) == message
+
     def test_constraint_parsed(self, tmp_path):
         obj = minimal_problem(domain={"x1": [1, 5], "x2": [0, 5, "open", "closed"],
                                       "constraint": "x1 - x2"})
