@@ -24,20 +24,22 @@ cut-box corners are a leading array axis: G and dG/dx2 are each evaluated once
 over all corners, and each parameter's partial of G once over the box center
 and the corners.  If no parameter shows strictly opposite signs across those
 probes, the extremum is attained at a corner and the envelope is the exact
-min/max of the corner values; Gamma then substitutes the extremal corner into
-the symbolic partials (ties between corners are re-broken by probing the tied
-corners at a point nudged slightly into the domain interior, which keeps the
-corner selection consistent with the envelope's one-sided derivative at
-boundary samples).  Otherwise the sample falls back to the extremes of G over
-a dense lattice of the box and is flagged approximate.  Its Gamma values are
-still symbolic: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser
-(and likewise for the max), so Gamma substitutes the lattice point attaining
-each end, the first in lattice order on a tie, into the symbolic partials.
-The lattice sweep that fills the envelope yields those points.  Checks that
-consume approximate samples run at a widened tolerance (``FALLBACK_TOL``)
-because a lattice optimum is only as close to the true one as the lattice
-spacing.  A NaN or infinite corner value, envelope or Gamma value at a
-feasible sample is reported as structure evidence with its location, never
+min/max of the corner values.  Otherwise the sample falls back to the extremes
+of G over a dense lattice of the box and is flagged approximate.  Each
+envelope end carries the parameter point that attains it: the first extremal
+corner; where several corners tie, the tied corner that is extremal at a point
+nudged slightly into the domain interior (which keeps the selection
+consistent with the envelope's one-sided derivative at boundary samples); at
+a fallback sample, the first lattice point attaining it.  One subset
+evaluator serves the tie-break, over the tied samples only, and the lattice
+sweep that fills the fallback envelope.  By Danskin's theorem,
+d(min_p G)/dx = dG/dx at the minimiser (and likewise for the max), so Gamma
+substitutes those points into the symbolic partials, and its values are
+symbolic on both routes.  Checks that consume approximate samples run at a
+widened tolerance (``FALLBACK_TOL``) because a lattice optimum is only as
+close to the true one as the lattice spacing.  A NaN or infinite corner
+value, envelope or Gamma value at a feasible sample, and a domain error of G
+or dG/dx2 at a cut-box corner, are reported as structure evidence, never
 passed on to the checks.  The four curve checks end in one gate that turns
 their worst residual into the report, so an overflowing residual (finite values
 too far apart to subtract) is structure evidence with its location in each.
@@ -45,8 +47,9 @@ too far apart to subtract) is structure evidence with its location in each.
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
 (the grid with a single point on the fixed axis) and the point envelope of
-:func:`envelope` (a 1x1x1 grid).  Both modes enumerate the 2^k cut-box
-corners, so every envelope takes at most ``CORNER_PARAM_LIMIT`` parameters.
+:func:`envelope` (a 1x1x1 grid); it builds no parameter points.  Both modes
+enumerate the 2^k cut-box corners, so every envelope takes at most
+``CORNER_PARAM_LIMIT`` parameters.
 """
 
 from __future__ import annotations
@@ -343,24 +346,31 @@ def _box_lattice(los: np.ndarray, his: np.ndarray, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids])
 
 
-def _eval_box(expr: Expression, names, lattice: np.ndarray, x1f: np.ndarray, x2f: np.ndarray) -> np.ndarray:
-    """Evaluate expr at every (sample point) x (lattice point); returns (q, M)."""
-    binding = {"x1": x1f[:, None], "x2": x2f[:, None]}
-    for j, name in enumerate(names):
-        binding[name] = lattice[j][None, :]
-    out = np.asarray(evaluate(expr, binding), dtype=float)
-    return np.broadcast_to(out, (x1f.size, lattice.shape[1]))
+def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """The ``(k, 2^k)`` cut-box corners: corner c has bit j set when parameter
+    j sits at its upper cut end."""
+    bits = (np.arange(2 ** los.size) >> np.arange(los.size)[:, None]) & 1
+    return np.where(bits == 1, his[:, None], los[:, None])
+
+
+def _extremes_at(expr: Expression, names, points: np.ndarray, x1: np.ndarray, x2: np.ndarray, allowed=None):
+    """expr at each of the ``(q,)`` samples (x1, x2) and each of the ``(k, M)``
+    parameter points, as ``(q, M)`` values, with the first argmin and the first
+    argmax over each sample's points; ``allowed``, a pair of ``(q, M)`` masks,
+    restricts the argmin and the argmax to the points it marks."""
+    binding = dict({"x1": x1[:, None], "x2": x2[:, None]}, **{name: points[j][None, :] for j, name in enumerate(names)})
+    w = np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, points.shape[1]))
+    lo_w, hi_w = (w, w) if allowed is None else (np.where(allowed[0], w, np.inf), np.where(allowed[1], w, -np.inf))
+    return w, lo_w.argmin(axis=1), hi_w.argmax(axis=1)
 
 
 def _corner_values(exprs, names, los, his, base: dict, shape, center: bool = False) -> list[np.ndarray]:
     """Each expression at every cut-box corner (after the box center, with
     ``center``), as read-only ``(n,) + shape`` arrays from one evaluation over
-    a leading probe axis.  Corner c has bit j set when parameter j sits at
-    its upper cut end.  A degenerate cut binds as a scalar, and an evaluation
-    error replays the probes one at a time, so values and errors are those
-    of a per-probe loop."""
-    bits = (np.arange(2 ** los.size) >> np.arange(los.size)[:, None]) & 1
-    ends = np.where(bits == 1, his[:, None], los[:, None])
+    a leading probe axis, in :func:`_corner_points` order.  A degenerate cut
+    binds as a scalar, and an evaluation error replays the probes one at a
+    time, so values and errors are those of a per-probe loop."""
+    ends = _corner_points(los, his)
     if center:
         ends = np.hstack([0.5 * (los + his)[:, None], ends])
 
@@ -390,49 +400,11 @@ def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
     return fallback
 
 
-def _dense_fill(expr, names, los, his, X1, X2, shape, fallback, lower, upper):
-    """Overwrite the envelope at fallback samples with the dense-lattice
-    extremes.  Returns the lattice points attaining the lower and the upper
-    end, each a ``(k, q)`` array over the fallback samples in C order (the
-    first lattice point on a tie), or None when no sample falls back."""
-    if not fallback.any():
-        return None
-    idx = np.nonzero(fallback)
-    lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
-    w = _eval_box(expr, names, lattice, _as_mesh(X1, shape)[idx], _as_mesh(X2, shape)[idx])
-    rows = np.arange(w.shape[0])
-    at_lo, at_hi = w.argmin(axis=1), w.argmax(axis=1)
-    lower[idx] = w[rows, at_lo]
-    upper[idx] = w[rows, at_hi]
-    return lattice[:, at_lo], lattice[:, at_hi]
-
-
-def _extremal_corners(expr, names, los, his, values, lower, upper, nudged):
-    """Bitmask indices of the corners attaining the corner envelope."""
-    at_lo = values == lower
-    at_hi = values == upper
-    if (at_lo.sum(axis=0) > 1).any() or (at_hi.sum(axis=0) > 1).any():
-        # several corners attain the extremum (e.g. the partial vanishes
-        # along an axis); keep the corner that is extremal at a probe
-        # point nudged into the domain interior, so the symbolic Gamma
-        # matches the envelope's one-sided derivative
-        X1n, X2n = nudged
-        (probed,) = _corner_values((expr,), names, los, his, {"x1": X1n, "x2": X2n}, lower.shape)
-        return np.where(at_lo, probed, np.inf).argmin(axis=0), np.where(at_hi, probed, -np.inf).argmax(axis=0)
-    return values.argmin(axis=0), values.argmax(axis=0)
-
-
-def _nudged_coords(X1, X2, shape, x1_bounds, x2_bounds):
-    """Probe coordinates one small step into the interior of the sampled box."""
-    lo1, hi1 = x1_bounds
-    lo2, hi2 = x2_bounds
-    d1 = EDGE_NUDGE_REL * (hi1 - lo1)
-    d2 = EDGE_NUDGE_REL * (hi2 - lo2)
-    x1 = _as_mesh(X1, shape)
-    x2 = _as_mesh(X2, shape)
-    X1n = np.where(x1 + d1 <= hi1, x1 + d1, x1 - d1)
-    X2n = np.where(x2 + d2 <= hi2, x2 + d2, x2 - d2)
-    return X1n, X2n
+def _nudged(x: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Coordinates x moved one small step into the interior of the sampled axis."""
+    lo, hi = float(axis[0]), float(axis[-1])
+    d = EDGE_NUDGE_REL * (hi - lo)
+    return np.where(x + d <= hi, x + d, x - d)
 
 
 def _non_finite(arrays: dict, feas: np.ndarray, X1, X2, alpha: float) -> NonFiniteValueError | None:
@@ -469,6 +441,7 @@ class _AlphaPass:
     gamma: EnvelopeCurve | None = None
     gamma_error: Exception | None = None
     structure: CheckReport | None = None
+    structure_error: Exception | None = None  # the error the structure report already carries
 
 
 def _result(value, error: Exception | None):
@@ -504,10 +477,13 @@ def _alpha_pass(
     there is named after ``label`` (default "<role> envelope").  In candidate
     mode it also builds the structure check, from ``expr`` and its x2-partial
     at every cut-box corner, and the quotient-of-partials (Gamma) curves of
-    the envelope; each slice evaluates the corner values, the sign probes, the
-    corner selection and the dense fallback once for all three.  Evaluation
-    errors of the structure scan are raised at once; the curves' errors are
-    collected in the result instead.
+    the envelope; each slice evaluates the corner values, the sign probes and
+    the dense fallback once for all three.  Each envelope end carries the
+    parameter point that attains it, a ``(k,) + shape`` array: the first
+    extremal corner, the tied corner that is extremal one nudge into the
+    interior, or the lattice optimum at a fallback sample.  Evaluation
+    errors are collected in the result, not raised: a domain error at a
+    corner fails the structure report, the envelope and Gamma alike.
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
@@ -520,19 +496,13 @@ def _alpha_pass(
     partials = [differentiate(expr, name) for name in names]
     if candidate:
         dg_dx1, dg_dx2 = differentiate(expr, "x1"), differentiate(expr, "x2")
-        nudged = _nudged_coords(X1, X2, shape, (float(x1p[0]), float(x1p[-1])), (float(x2p[0]), float(x2p[-1])))
 
-    def slice_gamma(los, his, alpha, corners, optima, fb):
+    def slice_gamma(alpha, points):
         # Danskin: each envelope end moves with G at the parameters attaining
-        # it, so its x-partials are G's there: the extremal corner, or the
-        # lattice optimum at a fallback sample
+        # it, so its x-partials are G's there
         ends = []
-        for corner, optimum in zip(corners, optima or (None, None)):
-            binding = {"x1": X1, "x2": X2}
-            for j, name in enumerate(names):
-                binding[name] = np.where(((corner >> j) & 1) == 1, his[j], los[j])
-                if optimum is not None:
-                    binding[name][fb] = optimum[j]
+        for point in points:
+            binding = dict(base, **{name: point[j] for j, name in enumerate(names)})
             num = _as_mesh(evaluate(dg_dx1, binding), shape)
             den = _as_mesh(evaluate(dg_dx2, binding), shape)
             bad = feas & (np.abs(den) < denom_tol)
@@ -562,13 +532,18 @@ def _alpha_pass(
         alpha = float(alphas[ki])
         los, his = _cut_arrays(params, alpha)
         if candidate:
-            values, d2 = _corner_values((expr, dg_dx2), names, los, his, base, shape)
+            try:
+                values, d2 = _corner_values((expr, dg_dx2), names, los, his, base, shape)
+            except EvalError as err:
+                structure_err = structure_err or err
+                env_err, gam_err = env_err or err, gam_err or err
+                continue
             finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
             if structure_err is None and not finite[feas].all():
                 structure_err = _non_finite(
                     {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}, feas, X1, X2, alpha
                 )
-            slots.append(_structure_slice(values, d2, feas & finite))
+            slots.append((alpha, _structure_slice(values, d2, feas & finite)))
         env_live = env_err is None
         gamma_live = candidate and gam_err is None
         if not (env_live or gamma_live):
@@ -582,15 +557,35 @@ def _alpha_pass(
             continue
         lower, upper = values.min(axis=0), values.max(axis=0)
         if gamma_live:
+            corners = _corner_points(los, his)
+            points = [corners[:, values.argmin(axis=0)], corners[:, values.argmax(axis=0)]]
+            i1, i2 = np.nonzero(((values == lower).sum(axis=0) > 1) | ((values == upper).sum(axis=0) > 1))
+            if i1.size:
+                # several corners attain an end (e.g. the partial vanishes along
+                # an axis); keep the tied corner that is extremal one step into
+                # the domain interior, so the symbolic Gamma matches the
+                # envelope's one-sided derivative
+                tied = values[:, i1, i2].T
+                nudged = _nudged(x1p[i1], x1p), _nudged(x2p[i2], x2p)
+                try:
+                    _, first_lo, first_hi = _extremes_at(expr, names, corners, *nudged,
+                                                         (tied == lower[i1, i2, None], tied == upper[i1, i2, None]))
+                    points[0][:, i1, i2], points[1][:, i1, i2] = corners[:, first_lo], corners[:, first_hi]
+                except EvalError as err:
+                    gam_err = err
+        if fb.any():
+            i1, i2 = np.nonzero(fb)
+            lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
             try:
-                corners = _extremal_corners(expr, names, los, his, values, lower, upper, nudged)
+                w, at_min, at_max = _extremes_at(expr, names, lattice, x1p[i1], x2p[i2])
             except EvalError as err:
-                gam_err = err
-        try:
-            optima = _dense_fill(expr, names, los, his, X1, X2, shape, fb, lower, upper)
-        except EvalError as err:
-            env_err, gam_err = env_err or err, gam_err or err
-            continue
+                env_err, gam_err = env_err or err, gam_err or err
+                continue
+            rows = np.arange(i1.size)
+            lower[i1, i2], upper[i1, i2] = w[rows, at_min], w[rows, at_max]
+            del w  # the (q, M) sweep: free it before the next slice evaluates
+            if gamma_live:
+                points[0][:, i1, i2], points[1][:, i1, i2] = lattice[:, at_min], lattice[:, at_max]
         env_lo[ki], env_hi[ki], approx[ki] = lower, upper, fb
         if env_live:
             env_err = _non_finite(
@@ -598,7 +593,7 @@ def _alpha_pass(
             )
         if candidate and gam_err is None:
             try:
-                gam_lo[ki], gam_hi[ki] = slice_gamma(los, his, alpha, corners, optima, fb)
+                gam_lo[ki], gam_hi[ki] = slice_gamma(alpha, points)
             except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
                 gam_err = err
 
@@ -613,7 +608,8 @@ def _alpha_pass(
         result.gamma_error = gam_err
         if gam_err is None:
             result.gamma = curve(ROLE_GAMMA, gam_lo, gam_hi)
-        result.structure = _structure_report(slots, x1p, x2p, alphas, denom_tol, structure_err)
+        result.structure = _structure_report(slots, x1p, x2p, denom_tol, structure_err)
+        result.structure_error = structure_err
     return result
 
 
@@ -714,14 +710,13 @@ def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
     return scan(values, True), scan(d2, True), scan(d2, False)
 
 
-def _structure_report(slots, x1p, x2p, alphas, denom_tol: float, error: Exception | None) -> CheckReport:
-    """Fold the per-slice extrema into the structure report; a non-finite
-    corner value (``error``) fails it with its location."""
+def _structure_report(slots, x1p, x2p, denom_tol: float, error: Exception | None) -> CheckReport:
+    """Fold the per-slice ``(alpha, extrema)`` into the structure report; a
+    non-finite or domain-failing corner value (``error``) fails it."""
     g_min, g_loc = np.inf, None
     d_min, d_min_loc = np.inf, None
     d_max, d_max_loc = -np.inf, None
-    for alpha, ((gm, gp), (dm, dmp), (dx, dxp)) in zip(alphas, slots):
-        alpha = float(alpha)
+    for alpha, ((gm, gp), (dm, dmp), (dx, dxp)) in slots:
         if gm < g_min:
             g_min, g_loc = gm, (float(x1p[gp[0]]), float(x2p[gp[1]]), alpha)
         if dm < d_min:
@@ -912,6 +907,8 @@ def verify(problem: ProblemSpec) -> Verdict:
     # one failed sign probe fails Y and Gamma alike, with one error
     evidence = list(dict.fromkeys(e for e in (envelope_error, g_pass.gamma_error) if e is not None))
     curves_error = evidence[0] if evidence else None
+    # a domain error at a corner already fails the structure report
+    evidence = [e for e in evidence if e is not g_pass.structure_error]
     reports: dict[str, CheckReport] = {}
 
     def attempt(name: str, check, *args) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -560,8 +561,8 @@ class TestVerify:
 
     def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
         # Every evaluate call counts.  Per alpha level (11 of them): G and
-        # dG/dx2 over the 4 box corners, G over the 4 corners nudged into the
-        # interior (x1 = 1 ties every corner in beta), Gamma's numerator and
+        # dG/dx2 over the 4 box corners, G at the samples where corners tie
+        # over the 4 corners nudged into the interior, Gamma's numerator and
         # denominator at the 2 selected corners, and F over its 4 corners.
         # The beta-partial of G is probed over the center and the 4 corners on
         # the 10 levels below alpha = 1.  The other partials are
@@ -570,6 +571,12 @@ class TestVerify:
         assert len(calls) <= 11 * (1 + 1 + 1 + 4 + 1) + 10 * 1
         # the corners and probes are a leading axis of one evaluation
         assert (4, 21, 21) in calls and (5, 21, 21) in calls
+        # G and F over the corners below alpha = 1; the tie-break probes only
+        # the tied samples: the 21 at x1 = 1 (x1^beta = 1 ties every beta)
+        # below alpha = 1, and all 441 at alpha = 1, where the corners coincide
+        assert calls.count((4, 21, 21)) == 20
+        assert calls.count((21, 4)) == 10
+        assert calls.count((441, 4)) == 1
 
     @staticmethod
     def many_params_problem(k: int) -> ProblemSpec:
@@ -609,6 +616,30 @@ class TestVerify:
         assert [c.name for c in verdict.checks] == ["structure", "differentiability", "boundary"]
         assert len(passes) == 2
 
+    def test_domain_error_at_a_g_corner_is_structure_evidence(self, tmp_path, capsys):
+        # the ln that fails F's envelope above fails G at its cut-box corners
+        # here; both read STRUCTURE_FAILS, with the error once in the note
+        path = tmp_path / "ln.json"
+        path.write_text(json.dumps({
+            "name": "ln-corner", "G": "ln(x1 - 2) * beta * x2 + gamma + 10", "F": "beta * x2 / x1",
+            "parameters": {"beta": [0.25, 0.5, 0.75], "gamma": [0, 1, 2]},
+            "domain": {"x1": [1, 5], "x2": [0, 5, "open", "closed"]},
+            "grid": {"n_x1": 9, "n_x2": 9, "n_alpha": 3},
+        }), encoding="utf-8")
+        problem = load_problem(path)
+        error = "ln of non-positive value (in 'ln(x1 - 2)')"
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert verdict.report("structure").note == error
+        assert [c.name for c in verdict.checks] == ["structure", "boundary"]
+        assert str(verdict.curves_error) == error
+        scan = check_structure(problem.g, problem.parameters, problem.box, problem.grid)
+        assert not scan.passed and scan.note == error
+        capsys.readouterr()
+        assert bfpde.cli.run(["check", str(path)]) == 1
+        assert bfpde.cli.run(["check", str(path), "--curves", str(tmp_path / "curves.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_failed_sign_probe_is_reported_once(self):
         # dG/dbeta = x2*x1/(2*sqrt(beta)) divides by zero at beta = 0, which
         # fails the Y envelope and Gamma with one error
@@ -647,15 +678,80 @@ class TestVerify:
         problem = ProblemSpec("corner-order", g_text, "a*x2", parse(g_text, names), parse("a*x2", names),
                               params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(5, 5, 3))
         error = "sqrt of negative value (in 'sqrt(a)')"
+        # at a corner of the structure scan the error is structure evidence
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert verdict.report("structure").note == error
+        assert str(verdict.curves_error) == error
+        scan = check_structure(problem.g, params, problem.box, problem.grid)
+        assert not scan.passed and scan.note == error
         for run in (
-            lambda: verify(problem),
-            lambda: check_structure(problem.g, params, problem.box, problem.grid),
+            lambda: gamma_curves(problem.g, params, problem.box, problem.grid),
             lambda: envelope_curve(problem.g, params, problem.box, problem.grid, "Y"),
             lambda: envelope(problem.g, params, 1.5, 1.5, 0.0),
         ):
             with pytest.raises(EvalError) as raised:
                 run()
             assert str(raised.value) == error
+
+
+class TestTieBreak:
+    """Where several cut-box corners attain an envelope end, Gamma is taken at
+    the tied corner that is extremal one nudge into the sampled box (forward
+    on each x axis, backward at its upper end), the first one on a tie;
+    checked against sympy partials at the corner a plain loop here picks."""
+
+    SHIPPED = Path(__file__).resolve().parents[1] / "problems"
+
+    @staticmethod
+    def attaining_corners(g, params, x1, x2, alpha, nudged):
+        """The corners (name -> value) attaining the lower and the upper end at
+        (x1, x2), tied corners probed at the ``nudged`` point, and whether two
+        distinct corners tied."""
+        cuts = [alpha_cut(t, alpha) for t in params.numbers]
+        corners = [{name: (c.hi if (i >> j) & 1 else c.lo) for j, (name, c) in enumerate(zip(params.names, cuts))}
+                   for i in range(2 ** len(cuts))]
+        values = [float(evaluate(g, {"x1": x1, "x2": x2, **at})) for at in corners]
+        probe = [float(evaluate(g, {"x1": nudged[0], "x2": nudged[1], **at})) for at in corners]
+        low = [i for i, v in enumerate(values) if v == min(values)]
+        high = [i for i, v in enumerate(values) if v == max(values)]
+        distinct = any(len({tuple(corners[i].values()) for i in tied}) > 1 for tied in (low, high))
+        return (corners[min(low, key=lambda i: probe[i])], corners[max(high, key=lambda i: probe[i])]), distinct
+
+    @staticmethod
+    def nudged(x, axis):
+        d = bfpde.engine.EDGE_NUDGE_REL * (axis[-1] - axis[0])
+        return x + d if x + d <= axis[-1] else x - d
+
+    def tied_x1(self, problem) -> set:
+        """Compare Gamma at every feasible sample; returns the x1 values where
+        distinct corners tie."""
+        gamma = gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
+        d_x1, d_x2 = sympy_x_partials(problem.g_text, problem.parameters.names)
+        tied = set()
+        for i1, i2 in np.argwhere(gamma.feasible):
+            x1, x2 = float(gamma.x1[i1]), float(gamma.x2[i2])
+            nudged = (self.nudged(x1, gamma.x1), self.nudged(x2, gamma.x2))
+            for ia, alpha in enumerate(gamma.alpha):
+                ends, distinct = self.attaining_corners(problem.g, problem.parameters, x1, x2, float(alpha), nudged)
+                if distinct:
+                    tied.add(x1)
+                for end, at in zip((gamma.lower, gamma.upper), ends):
+                    want = d_x1(x1, x2, **at) / d_x2(x1, x2, **at)
+                    assert end[i1, i2, ia] == pytest.approx(want, rel=1e-12)
+        return tied
+
+    @pytest.mark.parametrize("name", ["worked_example", "boundary_example", "crisp_example"])
+    def test_shipped_problems(self, name):
+        # x1^beta = 1 ties every beta at x1 = 1; crisp corners coincide
+        problem = load_problem(self.SHIPPED / f"{name}.json")
+        assert self.tied_x1(replace(problem, grid=GridSpec(9, 7, 4))) == (set() if name == "crisp_example" else {1.0})
+
+    def test_ties_on_the_upper_edge_nudge_backward(self):
+        # ln(6 - x1) = 0 ties every beta at x1 = 5, the upper end of the box
+        g_text = "ln(6 - x1)*beta*x2 + x2 + gamma"
+        base = worked_problem(GridSpec(9, 7, 4))
+        assert self.tied_x1(replace(base, g_text=g_text, g=parse(g_text, P))) == {5.0}
 
 
 class TestProbeAxis:
