@@ -19,28 +19,30 @@ and boundary conditions.
 Envelope strategy
 -----------------
 Each alpha slice of the grid is visited once per expression.  For G, that one
-candidate pass serves the structure check, the Y envelope and Gamma.  The 2^k
-cut-box corners are a leading array axis: G and dG/dx2 are each evaluated once
-over all corners, and each parameter's partial of G once over the box center
-and the corners.  If no parameter shows strictly opposite signs across those
-probes, the extremum is attained at a corner and the envelope is the exact
-min/max of the corner values.  Otherwise the sample falls back to the extremes
-of G over a dense lattice of the box and is flagged approximate.  Each
-envelope end carries the parameter point that attains it: the first extremal
-corner; where several corners tie, the tied corner that is extremal at a point
+candidate pass serves the structure check, the Y envelope and Gamma.  A
+parameter whose cut has no width (lo == hi: a crisp one, or any at alpha = 1)
+is a constant of the slice, so each slice builds one table of the 2^m corners
+of the cut box over its m live parameters, a leading array axis that every
+step reads: G and dG/dx2 are each evaluated once over all corners, and each
+live parameter's partial of G once over the box center and the corners.  If
+no parameter shows strictly opposite signs across those probes, the extremum
+is attained at a corner and the envelope is the exact min/max of the corner
+values.  Otherwise the sample falls back to the extremes of G over a dense
+lattice of the box's live axes and is flagged approximate.  Each envelope end
+carries the parameter point that attains it: at a fallback sample, the first
+lattice point attaining it; on the corner route, the first extremal corner,
+or where distinct corners tie, the tied corner that is extremal at a point
 nudged slightly into the domain interior (which keeps the selection
-consistent with the envelope's one-sided derivative at boundary samples); at
-a fallback sample, the first lattice point attaining it.  One subset
-evaluator serves the tie-break, over the tied samples only, and the lattice
-sweep that fills the fallback envelope.  By Danskin's theorem,
-d(min_p G)/dx = dG/dx at the minimiser (and likewise for the max), so Gamma
-substitutes those points into the symbolic partials, and its values are
-symbolic on both routes.  Checks that consume approximate samples run at a
-widened tolerance (``FALLBACK_TOL``) because a lattice optimum is only as
-close to the true one as the lattice spacing.  A NaN or infinite corner
-value, envelope or Gamma value at a feasible sample, and a domain error of G
-or dG/dx2 at a cut-box corner, are reported as structure evidence, never
-passed on to the checks.  The four curve checks end in one gate that turns
+consistent with the envelope's one-sided derivative at boundary samples).
+One subset evaluator serves the lattice sweep and the tie-break.  By
+Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and likewise for
+the max), so Gamma substitutes those points into the symbolic partials, and
+its values are symbolic on both routes.  Checks that consume approximate
+samples run at a widened tolerance (``FALLBACK_TOL``) because a lattice
+optimum is only as close to the true one as the lattice spacing.  A NaN or
+infinite corner value, envelope or Gamma value at a feasible sample, and a
+domain error of G or dG/dx2 at a cut-box corner, are reported as structure
+evidence, never passed on to the checks.  The four curve checks end in one gate that turns
 their worst residual into the report, so an overflowing residual (finite values
 too far apart to subtract) is structure evidence with its location in each.
 
@@ -48,7 +50,7 @@ The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
 (the grid with a single point on the fixed axis) and the point envelope of
 :func:`envelope` (a 1x1x1 grid); it builds no parameter points.  Both modes
-enumerate the 2^k cut-box corners, so every envelope takes at most
+enumerate up to 2^k cut-box corners, so every envelope takes at most
 ``CORNER_PARAM_LIMIT`` parameters.
 """
 
@@ -339,18 +341,21 @@ def _as_mesh(value, shape) -> np.ndarray:
 
 
 def _box_lattice(los: np.ndarray, his: np.ndarray, m: int) -> np.ndarray:
-    """(k, M) lattice over the parameter box, endpoints included, budget-capped."""
+    """(k, M) lattice over the box's live axes, endpoints included, budget-capped."""
     m_eff = max(2, min(m, int(BOX_SAMPLE_BUDGET ** (1.0 / len(los)))))
-    axes = [np.linspace(lo, hi, m_eff) for lo, hi in zip(los, his)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids])
+    axes = [np.linspace(lo, hi, m_eff if lo < hi else 1) for lo, hi in zip(los, his)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """The ``(k, 2^k)`` cut-box corners: corner c has bit j set when parameter
-    j sits at its upper cut end."""
-    bits = (np.arange(2 ** los.size) >> np.arange(los.size)[:, None]) & 1
-    return np.where(bits == 1, his[:, None], los[:, None])
+    """The ``(k, 2^m)`` corners of the cut box over its m live parameters
+    (lo < hi): corner c sets the i-th live parameter to its upper cut end when
+    bit i of c is set; a degenerate row holds its one value."""
+    live = np.flatnonzero(los < his)
+    bits = (np.arange(2 ** live.size) >> np.arange(live.size)[:, None]) & 1
+    corners = np.repeat(los[:, None], bits.shape[1], axis=1)
+    corners[live] = np.where(bits == 1, his[live, None], los[live, None])
+    return corners
 
 
 def _extremes_at(expr: Expression, names, points: np.ndarray, x1: np.ndarray, x2: np.ndarray, allowed=None):
@@ -364,38 +369,41 @@ def _extremes_at(expr: Expression, names, points: np.ndarray, x1: np.ndarray, x2
     return w, lo_w.argmin(axis=1), hi_w.argmax(axis=1)
 
 
-def _corner_values(exprs, names, los, his, base: dict, shape, center: bool = False) -> list[np.ndarray]:
-    """Each expression at every cut-box corner (after the box center, with
-    ``center``), as read-only ``(n,) + shape`` arrays from one evaluation over
-    a leading probe axis, in :func:`_corner_points` order.  A degenerate cut
-    binds as a scalar, and an evaluation error replays the probes one at a
-    time, so values and errors are those of a per-probe loop."""
-    ends = _corner_points(los, his)
-    if center:
-        ends = np.hstack([0.5 * (los + his)[:, None], ends])
+def _corner_values(exprs, names, points: np.ndarray, base: dict, shape) -> list[np.ndarray]:
+    """Each expression at every column of the ``(k, n)`` parameter ``points``
+    (the corners, or the sign probes), as read-only ``(n,) + shape`` arrays from
+    one evaluation over a leading probe axis.  A degenerate cut (lo == hi, a
+    row of one value) binds as a scalar, and an evaluation error replays the
+    probes one at a time, so values and errors are those of a per-probe loop."""
+    degenerate = points.min(axis=1) == points.max(axis=1)
 
     def bind(cols) -> dict:
-        return dict(base, **{name: los[j] if los[j] == his[j] else ends[j, cols][:, None, None]
+        return dict(base, **{name: points[j, 0] if degenerate[j] else points[j, cols][:, None, None]
                              for j, name in enumerate(names)})
 
     try:
         binding = bind(slice(None))
-        return [_as_mesh(evaluate(expr, binding), (ends.shape[1],) + tuple(shape)) for expr in exprs]
+        return [_as_mesh(evaluate(expr, binding), (points.shape[1],) + tuple(shape)) for expr in exprs]
     except EvalError:
-        for c in range(ends.shape[1]):
+        for c in range(points.shape[1]):
             for expr in exprs:
                 evaluate(expr, bind(slice(c, c + 1)))
         raise
 
 
-def _sign_fallback(partials, names, los, his, base: dict, shape) -> np.ndarray:
-    """Samples whose extremum may lie inside the box: some parameter's partial
-    takes strictly opposite signs across the box center and corners."""
+def _sign_fallback(partials, names, corners: np.ndarray, base: dict, shape) -> np.ndarray:
+    """Samples whose extremum may lie inside the box: some live parameter's
+    partial takes strictly opposite signs across the box center and the
+    :func:`_corner_points` ``corners``, whose first and last columns are the cut ends."""
+    los, his = corners[:, 0], corners[:, -1]
+    live = np.flatnonzero(los < his)
+    probes = np.hstack([corners[:, :1], corners])  # the box center, then the corners
+    probes[live, 0] = 0.5 * (los[live] + his[live])
     fallback = np.zeros(shape, dtype=bool)
-    for j in range(len(names)):
-        if his[j] == los[j] or not free_variables(partials[j]) & set(names):
-            continue  # degenerate axis, or a partial that takes one value at every probe
-        (d,) = _corner_values((partials[j],), names, los, his, base, shape, center=True)
+    for j in live:
+        if not free_variables(partials[j]) & set(names):
+            continue  # a partial that takes one value at every probe
+        (d,) = _corner_values((partials[j],), names, probes, base, shape)
         fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
 
@@ -477,13 +485,16 @@ def _alpha_pass(
     there is named after ``label`` (default "<role> envelope").  In candidate
     mode it also builds the structure check, from ``expr`` and its x2-partial
     at every cut-box corner, and the quotient-of-partials (Gamma) curves of
-    the envelope; each slice evaluates the corner values, the sign probes and
-    the dense fallback once for all three.  Each envelope end carries the
-    parameter point that attains it, a ``(k,) + shape`` array: the first
-    extremal corner, the tied corner that is extremal one nudge into the
-    interior, or the lattice optimum at a fallback sample.  Evaluation
-    errors are collected in the result, not raised: a domain error at a
-    corner fails the structure report, the envelope and Gamma alike.
+    the envelope.  Each slice builds one table of the 2^m corners over its m
+    live parameters and evaluates the corner values, the sign probes and the
+    dense fallback once for all three.  Each envelope end carries the
+    parameter point that attains it, a ``(k,) + shape`` array: the lattice
+    optimum at a fallback sample, else the first extremal corner or, where
+    distinct corners tie, the tied corner extremal one nudge into the
+    interior.  Evaluation errors are collected in the result, not raised: a
+    domain error at a corner fails the structure report, the envelope and
+    Gamma alike; one in the sign probes or the lattice fails both curves; one
+    in the tie-break or in Gamma's partials fails Gamma only.
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
@@ -531,9 +542,10 @@ def _alpha_pass(
     for ki in range(alphas.size):
         alpha = float(alphas[ki])
         los, his = _cut_arrays(params, alpha)
+        corners = _corner_points(los, his)
         if candidate:
             try:
-                values, d2 = _corner_values((expr, dg_dx2), names, los, his, base, shape)
+                values, d2 = _corner_values((expr, dg_dx2), names, corners, base, shape)
             except EvalError as err:
                 structure_err = structure_err or err
                 env_err, gam_err = env_err or err, gam_err or err
@@ -544,58 +556,46 @@ def _alpha_pass(
                     {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}, feas, X1, X2, alpha
                 )
             slots.append((alpha, _structure_slice(values, d2, feas & finite)))
-        env_live = env_err is None
-        gamma_live = candidate and gam_err is None
-        if not (env_live or gamma_live):
-            continue
+        if env_err is not None and (gam_err is not None or not candidate):
+            continue  # every curve this slice feeds has already failed
         try:
-            fb = _sign_fallback(partials, names, los, his, base, shape)
+            fb = _sign_fallback(partials, names, corners, base, shape)
             if not candidate:
-                (values,) = _corner_values((expr,), names, los, his, base, shape)
+                (values,) = _corner_values((expr,), names, corners, base, shape)
+            lower, upper = values.min(axis=0), values.max(axis=0)
+            if fb.any():
+                i1, i2 = np.nonzero(fb)
+                lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
+                w, at_min, at_max = _extremes_at(expr, names, lattice, x1p[i1], x2p[i2])
+                rows = np.arange(i1.size)
+                lower[i1, i2], upper[i1, i2] = w[rows, at_min], w[rows, at_max]
+                del w  # the (q, M) sweep: free it before the next slice evaluates
         except EvalError as err:
             env_err, gam_err = env_err or err, gam_err or err
             continue
-        lower, upper = values.min(axis=0), values.max(axis=0)
-        if gamma_live:
-            corners = _corner_points(los, his)
-            points = [corners[:, values.argmin(axis=0)], corners[:, values.argmax(axis=0)]]
-            i1, i2 = np.nonzero(((values == lower).sum(axis=0) > 1) | ((values == upper).sum(axis=0) > 1))
-            if i1.size:
-                # several corners attain an end (e.g. the partial vanishes along
-                # an axis); keep the tied corner that is extremal one step into
-                # the domain interior, so the symbolic Gamma matches the
-                # envelope's one-sided derivative
-                tied = values[:, i1, i2].T
-                nudged = _nudged(x1p[i1], x1p), _nudged(x2p[i2], x2p)
-                try:
-                    _, first_lo, first_hi = _extremes_at(expr, names, corners, *nudged,
-                                                         (tied == lower[i1, i2, None], tied == upper[i1, i2, None]))
-                    points[0][:, i1, i2], points[1][:, i1, i2] = corners[:, first_lo], corners[:, first_hi]
-                except EvalError as err:
-                    gam_err = err
-        if fb.any():
-            i1, i2 = np.nonzero(fb)
-            lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
-            try:
-                w, at_min, at_max = _extremes_at(expr, names, lattice, x1p[i1], x2p[i2])
-            except EvalError as err:
-                env_err, gam_err = env_err or err, gam_err or err
-                continue
-            rows = np.arange(i1.size)
-            lower[i1, i2], upper[i1, i2] = w[rows, at_min], w[rows, at_max]
-            del w  # the (q, M) sweep: free it before the next slice evaluates
-            if gamma_live:
-                points[0][:, i1, i2], points[1][:, i1, i2] = lattice[:, at_min], lattice[:, at_max]
         env_lo[ki], env_hi[ki], approx[ki] = lower, upper, fb
-        if env_live:
-            env_err = _non_finite(
-                {f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha
-            )
-        if candidate and gam_err is None:
-            try:
-                gam_lo[ki], gam_hi[ki] = slice_gamma(alpha, points)
-            except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
-                gam_err = err
+        if env_err is None:
+            env_err = _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha)
+        if not candidate or gam_err is not None:
+            continue
+        points = [corners[:, values.argmin(axis=0)], corners[:, values.argmax(axis=0)]]
+        if fb.any():
+            points[0][:, i1, i2], points[1][:, i1, i2] = lattice[:, at_min], lattice[:, at_max]
+        t1, t2 = np.nonzero(~fb & (((values == lower).sum(axis=0) > 1) | ((values == upper).sum(axis=0) > 1)))
+        try:
+            if t1.size:
+                # distinct corners attain an end on the corner route (e.g. the
+                # partial vanishes along an axis); keep the tied corner that is
+                # extremal one step into the domain interior, so the symbolic
+                # Gamma matches the envelope's one-sided derivative
+                tied = values[:, t1, t2].T
+                nudged = _nudged(x1p[t1], x1p), _nudged(x2p[t2], x2p)
+                _, first_lo, first_hi = _extremes_at(expr, names, corners, *nudged,
+                                                     (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
+                points[0][:, t1, t2], points[1][:, t1, t2] = corners[:, first_lo], corners[:, first_hi]
+            gam_lo[ki], gam_hi[ki] = slice_gamma(alpha, points)
+        except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
+            gam_err = err
 
     def curve(curve_role, lo, hi):
         return EnvelopeCurve(curve_role, x1p, x2p, alphas, lo.transpose(1, 2, 0), hi.transpose(1, 2, 0),

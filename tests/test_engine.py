@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from bfpde.engine import (
     ProblemSpec,
     ROLE_GAMMA,
     Tolerances,
+    Verdict,
     axis_points,
     check_boundary,
     check_differentiability,
@@ -573,10 +575,10 @@ class TestVerify:
         assert (4, 21, 21) in calls and (5, 21, 21) in calls
         # G and F over the corners below alpha = 1; the tie-break probes only
         # the tied samples: the 21 at x1 = 1 (x1^beta = 1 ties every beta)
-        # below alpha = 1, and all 441 at alpha = 1, where the corners coincide
+        # below alpha = 1
         assert calls.count((4, 21, 21)) == 20
         assert calls.count((21, 4)) == 10
-        assert calls.count((441, 4)) == 1
+        assert calls.count((441, 4)) == 0
 
     @staticmethod
     def many_params_problem(k: int) -> ProblemSpec:
@@ -599,6 +601,16 @@ class TestVerify:
         counts = {k: len(self._count_evaluations(monkeypatch, self.many_params_problem(k))) for k in (3, 6)}
         assert counts[6] - counts[3] <= 3 * 6
         assert counts[6] <= 6 * (1 + 1 + 1 + 4 + 1 + 6)
+
+    def test_coinciding_corners_and_fallback_samples_take_no_tie_break(self, monkeypatch):
+        # the tie-break evaluates G over all 2^k corners at the (q,) tied
+        # samples; corners that coincide (a crisp parameter, every alpha = 1
+        # slice) tie nothing, and a fallback sample's point is the lattice's
+        crisp = load_problem(Path(__file__).resolve().parents[1] / "problems" / "crisp_example.json")
+        for problem in (crisp, TestDanskinGamma.non_monotone_problem(), self.many_params_problem(3)):
+            corners = 2 ** len(problem.parameters)
+            calls = self._count_evaluations(monkeypatch, problem)
+            assert [shape for shape in calls if len(shape) == 2 and shape[1] == corners] == []
 
     def test_failed_f_envelope_is_reported_once(self, monkeypatch):
         # F's envelope raises; equality is skipped instead of recomputing it
@@ -753,6 +765,104 @@ class TestTieBreak:
         base = worked_problem(GridSpec(9, 7, 4))
         assert self.tied_x1(replace(base, g_text=g_text, g=parse(g_text, P))) == {5.0}
 
+    # 1e-9 at every integer x1 and negative one nudge away, so the tie-break
+    # fails wherever it runs
+    NUDGE_FAILS = "sqrt(cos(3.141592653589793*x1)^2 - 1 + 1e-9)"
+
+    @staticmethod
+    def integer_x1_problem(g_text, f_text, params, box) -> ProblemSpec:
+        """The problem on ``box`` sampled at x1 = 1, 2, ..., 5."""
+        names = tuple(params)
+        vector = FuzzyVector(tuple((n, TriangularFuzzyNumber(*t)) for n, t in params.items()))
+        return ProblemSpec("nudge", g_text, f_text, parse(g_text, names), parse(f_text, names), vector, box,
+                           GridSpec(5, 9, 5))
+
+    @pytest.mark.parametrize("c", [(0.12, 0.2, 0.27), (0.2, 0.2, 0.2)])
+    def test_fallback_samples_and_coinciding_corners_take_no_tie_break(self, c):
+        # b's symmetric corners tie at every fallback sample, where the
+        # lattice picks the point, and at alpha = 1 (and for a crisp c) the
+        # corners coincide; no tie-break runs, so its domain error never occurs
+        g_text = f"x2*exp(x1*((b - 1)^2 + c)) + {self.NUDGE_FAILS}"
+        problem = self.integer_x1_problem(g_text, "x2*((b - 1)^2 + c)", {"b": (0.7, 1.0, 1.3), "c": c},
+                                          DomainBox(1.0, 5.0, 0.0, 2.0, x2_min_open=True))
+        verdict = verify(problem)
+        assert verdict.outcome == BF_SOLUTION
+        assert verdict.curves[2].approximate.any()
+
+    def test_a_lattice_error_comes_before_the_tie_break(self):
+        # at x1 = 2 the corners tie on the corner route; at the other samples
+        # the lattice meets (b - 0.9)^2 < 1e-4 first, which fails Y and Gamma
+        g_text = f"x2*(1 + (x1 - 2)*sqrt((b - 0.9)^2 - 0.0001)) + {self.NUDGE_FAILS} + 10"
+        problem = self.integer_x1_problem(g_text, "x2", {"b": (0.7, 1.0, 1.3)}, DomainBox(1.0, 5.0, 1.0, 2.0))
+        error = "sqrt of negative value (in 'sqrt((b - 0.9)^2 - 0.0001)')"
+        assert verify(problem).report("structure").note == error
+        for run in (gamma_curves, lambda *args: envelope_curve(*args, "Y")):
+            with pytest.raises(EvalError) as raised:
+                run(problem.g, problem.parameters, problem.box, problem.grid)
+            assert str(raised.value) == error
+
+
+class TestCrispParameter:
+    """A crisp parameter is a constant of every alpha slice: verify agrees
+    with the same problem after the parameter's value is written into the G
+    and F text.  Outcome and pass flags are equal; the curves agree to 1e-12
+    relative, not bit for bit, because a constant exponent differentiates by
+    another formula than a parameter one."""
+
+    @staticmethod
+    def with_crisp(problem, name, value) -> tuple[ProblemSpec, ProblemSpec]:
+        """``problem`` with ``name`` crisp at ``value``, and with ``value``
+        substituted for ``name``."""
+        point = TriangularFuzzyNumber(value, value, value)
+        crisp = replace(problem, parameters=FuzzyVector(tuple(
+            (n, point if n == name else t) for n, t in problem.parameters.components)))
+        rest = FuzzyVector(tuple(c for c in problem.parameters.components if c[0] != name))
+        g_text, f_text = (re.sub(rf"\b{name}\b", f"({value!r})", t) for t in (problem.g_text, problem.f_text))
+        constant = replace(problem, g_text=g_text, f_text=f_text, g=parse(g_text, rest.names),
+                           f=parse(f_text, rest.names), parameters=rest)
+        return crisp, constant
+
+    def assert_agrees(self, problem, name, value) -> Verdict:
+        assert not problem.boundary
+        got, want = (verify(p) for p in self.with_crisp(problem, name, value))
+        assert got.outcome == want.outcome
+        assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
+        assert got.curves_error is None and want.curves_error is None
+        for a, b in zip(got.curves, want.curves, strict=True):
+            np.testing.assert_allclose(a.lower, b.lower, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(a.upper, b.upper, rtol=1e-12, atol=0.0)
+            assert np.array_equal(a.approximate, b.approximate)
+        return got
+
+    @pytest.mark.parametrize("name, value", [("beta", 0.5), ("gamma", 1.0), ("gamma", 1.5e308)])
+    def test_worked_example(self, name, value):
+        # 0.5*(lo + lo) overflows for the last value; its cut is still one point
+        self.assert_agrees(worked_problem(GridSpec(13, 11, 5)), name, value)
+
+    def test_beside_a_parameter_on_the_fallback(self):
+        shipped = load_problem(Path(__file__).resolve().parents[1] / "problems" / "not_differentiable.json")
+        g_text, f_text = "beta * x1 + x2 / beta + gamma * x1", "gamma * x2 / x1"
+        names = ("beta", "gamma")
+        params = FuzzyVector((*shipped.parameters.components, ("gamma", TriangularFuzzyNumber(1.0, 1.25, 1.5))))
+        problem = replace(shipped, g_text=g_text, f_text=f_text, g=parse(g_text, names), f=parse(f_text, names),
+                          parameters=params)
+        verdict = self.assert_agrees(problem, "gamma", 1.25)
+        assert verdict.curves[0].approximate.any()
+
+    def test_random_monotone_instances(self):
+        rng = np.random.default_rng(10)
+        tried = 0
+        while tried < 20:
+            g_text, params, box = random_monotone_instance(rng)
+            if len(params) < 2:
+                continue
+            tried += 1
+            f_text = f"({' + '.join(params.names)}) * x2 / x1"
+            problem = ProblemSpec("random", g_text, f_text, parse(g_text, params.names), parse(f_text, params.names),
+                                  params, box, GridSpec(7, 6, 5))
+            j = int(rng.integers(len(params)))
+            self.assert_agrees(problem, params.names[j], params.numbers[j].peak)
+
 
 class TestProbeAxis:
     """The corners and sign probes evaluated as one leading array axis give,
@@ -760,10 +870,13 @@ class TestProbeAxis:
 
     @staticmethod
     def corner_bindings(names, los, his, base):
-        for c in range(2 ** len(names)):
-            binding = dict(base)
-            for j, name in enumerate(names):
-                binding[name] = his[j] if (c >> j) & 1 else los[j]
+        # the corners over the parameters whose cut has width, in the order of
+        # their bits; a degenerate parameter is bound at its one value
+        live = [j for j in range(len(names)) if los[j] < his[j]]
+        for c in range(2 ** len(live)):
+            binding = dict(base, **{name: los[j] for j, name in enumerate(names)})
+            for bit, j in enumerate(live):
+                binding[names[j]] = his[j] if (c >> bit) & 1 else los[j]
             yield binding
 
     def per_corner_values(self, expr, names, los, his, base, shape):
@@ -771,7 +884,8 @@ class TestProbeAxis:
                          for b in self.corner_bindings(names, los, his, base)])
 
     def per_probe_fallback(self, g, names, los, his, base, shape):
-        center = dict(base, **{name: 0.5 * (los[j] + his[j]) for j, name in enumerate(names)})
+        center = dict(base, **{name: los[j] if los[j] == his[j] else 0.5 * (los[j] + his[j])
+                               for j, name in enumerate(names)})
         probes = [center, *self.corner_bindings(names, los, his, base)]
         fallback = np.zeros(shape, dtype=bool)
         for j, name in enumerate(names):
@@ -790,11 +904,12 @@ class TestProbeAxis:
         fallbacks = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
-            got = bfpde.engine._corner_values(exprs, names, los, his, base, shape)
+            corners = bfpde.engine._corner_points(los, his)
+            got = bfpde.engine._corner_values(exprs, names, corners, base, shape)
             for values, expr in zip(got, exprs):
                 want = self.per_corner_values(expr, names, los, his, base, shape)
                 assert np.ascontiguousarray(values).tobytes() == want.tobytes()
-            fallback = bfpde.engine._sign_fallback(partials, names, los, his, base, shape)
+            fallback = bfpde.engine._sign_fallback(partials, names, corners, base, shape)
             assert np.array_equal(fallback, self.per_probe_fallback(g, names, los, his, base, shape))
             fallbacks += int(fallback.sum())
         return fallbacks
