@@ -28,14 +28,18 @@ live parameter's partial of G once over the box center and the corners.  If
 no parameter shows strictly opposite signs across those probes, the extremum
 is attained at a corner and the envelope is the exact min/max of the corner
 values.  Otherwise the sample falls back to the extremes of G over a dense
-lattice of the box's live axes and is flagged approximate.  Each envelope end
-carries the parameter point that attains it: at a fallback sample, the first
-lattice point attaining it; on the corner route, the first extremal corner,
-or where distinct corners tie, the tied corner that is extremal at a point
-nudged slightly into the domain interior (which keeps the selection
-consistent with the envelope's one-sided derivative at boundary samples).
-One subset evaluator serves the lattice sweep and the tie-break.  By
-Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and likewise for
+lattice and is flagged approximate.  The lattice spans only the live axes left
+uncertified: the first slice with fallback samples encloses each partial over
+the alpha = 0 cut box, which holds every cut, by interval arithmetic, and a
+parameter whose partial has a certified sign at every fallback sample of a
+slice is pinned at the cut end attaining each sample's min, and its max.  Each
+envelope end carries the parameter point that attains it: at a fallback
+sample, the first lattice point attaining it; on the corner route, the first
+extremal corner, or where distinct corners tie, the tied corner that is
+extremal at a point nudged slightly into the domain interior (which keeps the
+selection consistent with the envelope's one-sided derivative at boundary
+samples).  One subset evaluator serves the lattice sweep and the tie-break.
+By Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and likewise for
 the max), so Gamma substitutes those points into the symbolic partials, and
 its values are symbolic on both routes.  Checks that consume approximate
 samples run at a widened tolerance (``FALLBACK_TOL``) because a lattice
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import EvalError, Expression, differentiate, evaluate, free_variables
+from .expr import EvalError, Expression, differentiate, evaluate, free_variables, interval_eval
 from .fuzzy import FuzzyVector, alpha_cut
 
 # verdict outcomes
@@ -340,11 +344,23 @@ def _as_mesh(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
-def _box_lattice(los: np.ndarray, his: np.ndarray, m: int) -> np.ndarray:
-    """(k, M) lattice over the box's live axes, endpoints included, budget-capped."""
+def _box_lattice(los: np.ndarray, his: np.ndarray, m: int, signs: np.ndarray):
+    """The dense-fallback table at q samples: one ``(M,)`` or ``(q, M)`` row per
+    parameter, and the column masks the min and the max may take (None: all).
+    It spans the live axes uncertified at some sample (``signs``, ``(k, q)``
+    certified signs, 0 where none), endpoints included, with the density of a
+    budget-capped lattice over all k axes.  A parameter certified at every
+    sample is pinned per sample at its cut end where expr is least (min half)
+    and greatest (max half), the lattice endpoint of the full lattice's optimum."""
+    pinned = (los < his) & (signs != 0).all(axis=1)
     m_eff = max(2, min(m, int(BOX_SAMPLE_BUDGET ** (1.0 / len(los)))))
-    axes = [np.linspace(lo, hi, m_eff if lo < hi else 1) for lo, hi in zip(los, his)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    axes = [np.linspace(lo, hi, m_eff if lo < hi and not pin else 1) for lo, hi, pin in zip(los, his, pinned)]
+    lattice = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    if not pinned.any():
+        return lattice, None
+    ends = np.where((signs > 0)[..., None], np.stack([los, his], 1)[:, None], np.stack([his, los], 1)[:, None])
+    half = np.arange(2 * lattice.shape[1]) < lattice.shape[1]
+    return [np.repeat(e, r.size, 1) if p else np.tile(r, 2) for e, p, r in zip(ends, pinned, lattice)], (half, ~half)
 
 
 def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -358,15 +374,17 @@ def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _extremes_at(expr: Expression, names, points: np.ndarray, x1: np.ndarray, x2: np.ndarray, allowed=None):
-    """expr at each of the ``(q,)`` samples (x1, x2) and each of the ``(k, M)``
-    parameter points, as ``(q, M)`` values, with the first argmin and the first
-    argmax over each sample's points; ``allowed``, a pair of ``(q, M)`` masks,
-    restricts the argmin and the argmax to the points it marks."""
-    binding = dict({"x1": x1[:, None], "x2": x2[:, None]}, **{name: points[j][None, :] for j, name in enumerate(names)})
-    w = np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, points.shape[1]))
+def _extremes_at(expr: Expression, names, points, x1: np.ndarray, x2: np.ndarray, allowed=None):
+    """The min and the max of expr over M parameter points (one ``(M,)`` or
+    ``(q, M)`` row per parameter) at each of the ``(q,)`` samples (x1, x2), and
+    the ``(k, q)`` points attaining them, the first in column order; ``allowed``,
+    a pair of masks, restricts the min and the max to the points it marks."""
+    binding = dict({"x1": x1[:, None], "x2": x2[:, None]}, **dict(zip(names, points)))
+    w = np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, np.shape(points[0])[-1]))
     lo_w, hi_w = (w, w) if allowed is None else (np.where(allowed[0], w, np.inf), np.where(allowed[1], w, -np.inf))
-    return w, lo_w.argmin(axis=1), hi_w.argmax(axis=1)
+    rows, at = np.arange(x1.size), (lo_w.argmin(axis=1), hi_w.argmax(axis=1))
+    optima = [np.stack([np.broadcast_to(r, w.shape)[rows, a] for r in points]) for a in at]
+    return w[rows, at[0]], w[rows, at[1]], optima
 
 
 def _corner_values(exprs, names, points: np.ndarray, base: dict, shape) -> list[np.ndarray]:
@@ -398,7 +416,7 @@ def _sign_fallback(partials, names, corners: np.ndarray, base: dict, shape) -> n
     los, his = corners[:, 0], corners[:, -1]
     live = np.flatnonzero(los < his)
     probes = np.hstack([corners[:, :1], corners])  # the box center, then the corners
-    probes[live, 0] = 0.5 * (los[live] + his[live])
+    probes[live, 0] = 0.5 * los[live] + 0.5 * his[live]
     fallback = np.zeros(shape, dtype=bool)
     for j in live:
         if not free_variables(partials[j]) & set(names):
@@ -406,6 +424,14 @@ def _sign_fallback(partials, names, corners: np.ndarray, base: dict, shape) -> n
         (d,) = _corner_values((partials[j],), names, probes, base, shape)
         fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
+
+
+def _certified_signs(partials, params: FuzzyVector, X1, X2, shape) -> np.ndarray:
+    """Each partial's sign at every sample, certified by interval arithmetic on the alpha = 0 cut box: +1, -1 or 0."""
+    los, his = _cut_arrays(params, 0.0)
+    box = dict({"x1": (X1, X1), "x2": (X2, X2)}, **{name: (lo, hi) for name, lo, hi in zip(params.names, los, his)})
+    ends = [interval_eval(d, box) if lo < hi else (0.0, 0.0) for d, lo, hi in zip(partials, los, his)]
+    return np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
 
 
 def _nudged(x: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -535,7 +561,7 @@ def _alpha_pass(
     approx = np.zeros(planes, dtype=bool)
     if candidate:
         gam_lo, gam_hi = np.empty(planes), np.empty(planes)
-    env_err = gam_err = None
+    env_err = gam_err = signs = None
     slots, structure_err = [], None
 
     what = label or f"{role} envelope"
@@ -565,11 +591,10 @@ def _alpha_pass(
             lower, upper = values.min(axis=0), values.max(axis=0)
             if fb.any():
                 i1, i2 = np.nonzero(fb)
-                lattice = _box_lattice(los, his, FALLBACK_BOX_SAMPLES)
-                w, at_min, at_max = _extremes_at(expr, names, lattice, x1p[i1], x2p[i2])
-                rows = np.arange(i1.size)
-                lower[i1, i2], upper[i1, i2] = w[rows, at_min], w[rows, at_max]
-                del w  # the (q, M) sweep: free it before the next slice evaluates
+                if signs is None:  # certified once per pass, on the alpha = 0 box that holds every cut
+                    signs = _certified_signs(partials, params, X1, X2, shape)
+                table, allowed = _box_lattice(los, his, FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
+                lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
         except EvalError as err:
             env_err, gam_err = env_err or err, gam_err or err
             continue
@@ -580,7 +605,7 @@ def _alpha_pass(
             continue
         points = [corners[:, values.argmin(axis=0)], corners[:, values.argmax(axis=0)]]
         if fb.any():
-            points[0][:, i1, i2], points[1][:, i1, i2] = lattice[:, at_min], lattice[:, at_max]
+            points[0][:, i1, i2], points[1][:, i1, i2] = optima
         t1, t2 = np.nonzero(~fb & (((values == lower).sum(axis=0) > 1) | ((values == upper).sum(axis=0) > 1)))
         try:
             if t1.size:
@@ -590,9 +615,9 @@ def _alpha_pass(
                 # Gamma matches the envelope's one-sided derivative
                 tied = values[:, t1, t2].T
                 nudged = _nudged(x1p[t1], x1p), _nudged(x2p[t2], x2p)
-                _, first_lo, first_hi = _extremes_at(expr, names, corners, *nudged,
-                                                     (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
-                points[0][:, t1, t2], points[1][:, t1, t2] = corners[:, first_lo], corners[:, first_hi]
+                *_, optima = _extremes_at(expr, names, corners, *nudged,
+                                          (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
+                points[0][:, t1, t2], points[1][:, t1, t2] = optima
             gam_lo[ki], gam_hi[ki] = slice_gamma(alpha, points)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             gam_err = err

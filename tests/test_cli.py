@@ -158,6 +158,20 @@ class TestCheckCurves:
         assert structure["location"] == {"x1": 1.0, "x2": 0.0, "alpha": 0.0}
         assert "boundary" not in [c["name"] for c in doc["checks"]]
 
+    def test_sign_probe_centre_of_a_huge_cut_does_not_overflow(self, tmp_path, capsys):
+        # lo + hi of the gamma cut exceeds the largest double; its centre does not
+        path = tmp_path / "problem.json"
+        doc = json.loads((PROBLEMS / "worked_example.json").read_text())
+        doc.update(G="x1^beta * x2 + gamma*1e-300", grid={"n_x1": 9, "n_x2": 9, "n_alpha": 3})
+        doc["parameters"]["gamma"] = [1e308, 1.5e308, 1.7e308]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["check", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "BF_SOLUTION"
+        assert captured.err == ""
+
     def test_overflowing_equality_residual_fails_loudly(self, tmp_path, capsys):
         # Gamma and F are finite, but their difference overflows at beta = 1
         path = tmp_path / "problem.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import warnings
 from dataclasses import replace
@@ -1203,3 +1204,108 @@ class TestDanskinGamma:
         capsys.readouterr()
         assert bfpde.cli.run(["check", str(path), "--curves", str(tmp_path / "curves.csv")]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+class TestPinnedLattice:
+    """At a dense-fallback sample, a parameter whose partial keeps a sign that
+    interval arithmetic certifies over the alpha = 0 cut box is pinned at its
+    extremal cut end, and the lattice spans only the other live axes.  A plain
+    loop over the full lattice, the one the fallback swept before, must give
+    the same lower, upper and Gamma bits."""
+
+    BOX = DomainBox(0.5, 1.5, 0.0, 2.0, x2_min_open=True)
+
+    def problem(self, name, q: str, params: dict, grid: GridSpec) -> ProblemSpec:
+        """G = x2*exp(x1*q), F = x2*q: Gamma = F in closed form."""
+        vector = FuzzyVector(tuple((n, TriangularFuzzyNumber(*t)) for n, t in params.items()))
+        g_text, f_text = f"x2*exp(x1*({q}))", f"x2*({q})"
+        return ProblemSpec(name, g_text, f_text, parse(g_text, vector.names), parse(f_text, vector.names), vector,
+                           self.BOX, grid)
+
+    def non_monotone(self, seed: int, grid=GridSpec(9, 7, 4)) -> ProblemSpec:
+        # the benchmark's non-monotone family: b is symmetric around m, so its
+        # partial changes sign in every cut below alpha = 1; c is certified
+        rng = random.Random(f"non-monotone/{seed}")
+        m, w, c = rng.uniform(0.8, 1.2), rng.uniform(0.2, 0.4), rng.uniform(0.15, 0.3)
+        return self.problem(f"non-monotone-seed{seed}", f"(b - {m!r})^2 + c",
+                            {"b": (m - w, m, m + w), "c": (c * rng.uniform(0.5, 0.8), c, c * rng.uniform(1.2, 1.5))},
+                            grid)
+
+    def decreasing(self) -> ProblemSpec:
+        # k = 3: c certified increasing, d certified decreasing, b uncertified
+        return self.problem("decreasing-certified", "(b - 1)^2 + c - 0.5*d",
+                            {"b": (0.7, 1.0, 1.3), "c": (0.2, 0.3, 0.4), "d": (0.1, 0.2, 0.3)}, GridSpec(7, 5, 4))
+
+    def cos_guard(self) -> ProblemSpec:
+        # the d-partial of G carries cos(2*pi*(d - 1)): 1 at the centre and both
+        # corners of the alpha = 0 cut d in [0, 2], so every sign probe agrees,
+        # but -1 at d = 0.5 and 1.5; d must stay a lattice axis
+        return self.problem("cos-guard", "(b - 1)^2 + 0.2 + 0.05*sin(6.283185307179586*(d - 1))",
+                            {"b": (0.7, 1.0, 1.3), "d": (0.0, 1.0, 2.0)}, GridSpec(9, 7, 3))
+
+    @staticmethod
+    def full_lattice(expr, params, x1, x2, alpha):
+        """expr over every live axis of the cut box at the fallback's density
+        (``BOX_SAMPLE_BUDGET ** (1/k)`` points per axis, at most
+        ``FALLBACK_BOX_SAMPLES``), as (name -> lattice values, values)."""
+        m = max(2, min(bfpde.engine.FALLBACK_BOX_SAMPLES, int(bfpde.engine.BOX_SAMPLE_BUDGET ** (1.0 / len(params)))))
+        cuts = [alpha_cut(t, alpha) for t in params.numbers]
+        axes = [np.linspace(c.lo, c.hi, m if c.lo < c.hi else 1) for c in cuts]
+        lattice = dict(zip(params.names, (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))))
+        values = evaluate(expr, dict(lattice, x1=np.array([x1]), x2=np.array([x2])))
+        return lattice, np.broadcast_to(values, lattice[params.names[0]].shape)
+
+    def assert_matches_full_lattice(self, problem) -> None:
+        y_curve, f_curve, gamma = verify(problem).curves
+        d_x1, d_x2 = differentiate(problem.g, "x1"), differentiate(problem.g, "x2")
+        for expr, curve in ((problem.g, y_curve), (problem.f, f_curve)):
+            fallback = np.argwhere(curve.approximate & curve.feasible[:, :, None])
+            assert len(fallback) > curve.approximate.size // 2
+            for i1, i2, ia in fallback:
+                x1, x2, alpha = curve.x1[i1], curve.x2[i2], curve.alpha[ia]
+                lattice, values = self.full_lattice(expr, problem.parameters, x1, x2, alpha)
+                ends = int(values.argmin()), int(values.argmax())
+                assert (curve.lower[i1, i2, ia], curve.upper[i1, i2, ia]) == tuple(values[i] for i in ends)
+                if expr is not problem.g:
+                    continue
+                for got, i in zip((gamma.lower[i1, i2, ia], gamma.upper[i1, i2, ia]), ends):
+                    at = dict({name: v[i:i + 1] for name, v in lattice.items()}, x1=np.array([x1]), x2=np.array([x2]))
+                    assert got == (evaluate(d_x1, at) / evaluate(d_x2, at))[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_non_monotone_family_matches_the_full_lattice(self, seed):
+        self.assert_matches_full_lattice(self.non_monotone(seed))
+
+    def test_a_decreasing_certified_parameter_matches_the_full_lattice(self):
+        self.assert_matches_full_lattice(self.decreasing())
+
+    def test_certified_parameters_leave_the_lattice(self, monkeypatch):
+        # b alone spans the lattice: 33 points, once for the min and once for
+        # the max half of the table, where b and c (and d) would make 33^k
+        for problem, full in ((self.non_monotone(11, GridSpec(41, 41, 11)), 33 ** 2), (self.decreasing(), 33 ** 3)):
+            widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
+            assert full not in widths and 2 * 33 in widths
+
+    def test_interval_work_only_where_a_slice_falls_back(self, monkeypatch):
+        calls = []
+        original = bfpde.engine.interval_eval
+
+        def counting(expr, binding):
+            calls.append(expr)
+            return original(expr, binding)
+
+        monkeypatch.setattr(bfpde.engine, "interval_eval", counting)
+        boundary = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
+        for problem in (TestVerify.many_params_problem(6), boundary):
+            assert verify(problem).outcome == BF_SOLUTION
+        assert calls == []
+        # once per pass (G, then F) and live parameter
+        problem = self.non_monotone(1)
+        assert verify(problem).outcome == BF_SOLUTION
+        assert calls == [differentiate(e, name) for e in (problem.g, problem.f) for name in ("b", "c")]
+
+    def test_a_partial_signed_at_every_probe_but_not_between_stays_a_lattice_axis(self, monkeypatch):
+        problem = self.cos_guard()
+        widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
+        assert 33 ** 2 in widths
+        self.assert_matches_full_lattice(problem)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +21,11 @@ from bfpde.expr import (
     evaluate,
     finite_difference,
     free_variables,
+    interval_eval,
     parse,
     to_string,
 )
+from randexpr import random_binding, random_smooth_expression
 
 PARAMS = ("beta", "gamma")
 
@@ -257,3 +261,95 @@ class TestProperties:
                 continue
             assert abs(sym - fd) <= 1e-6 * (1.0 + abs(sym))
             checked += 1
+
+
+class TestIntervalEval:
+    """``interval_eval`` encloses every value an expression takes over a box,
+    shrinks with the box, and returns (-inf, inf) instead of raising where an
+    operand leaves the domain."""
+
+    @staticmethod
+    def random_boxes(rng, n):
+        """name -> (lo, hi) arrays of n boxes around points ``random_binding``
+        draws, each side at most 0.5 wide (every ``randexpr`` operand stays in
+        its domain there)."""
+        centres = [random_binding(rng) for _ in range(n)]
+        box = {}
+        for name in centres[0]:
+            c, w = np.array([b[name] for b in centres]), rng.uniform(0.0, 0.25, n)
+            box[name] = (c - w, c + w)
+        return box
+
+    @staticmethod
+    def enclosure(text, **box):
+        e = parse(text, PARAMS)
+        return interval_eval(e, {name: (np.float64(lo), np.float64(hi)) for name, (lo, hi) in box.items()})
+
+    def test_every_point_of_the_box_lies_in_the_enclosure(self):
+        rng = np.random.default_rng(3)
+        for _ in range(120):
+            e, _ = random_smooth_expression(rng)
+            box = self.random_boxes(rng, 4)
+            lo, hi = np.broadcast_arrays(*interval_eval(e, box), np.zeros(4))[:2]
+            # 200 points per box: its 16 corners and 184 drawn inside it
+            corners = (np.arange(16)[:, None] >> np.arange(4)) & 1
+            points = {}
+            for j, (name, (a, b)) in enumerate(box.items()):
+                inside = a[:, None] + (b - a)[:, None] * rng.uniform(0.0, 1.0, (4, 184))
+                points[name] = np.hstack([np.where(corners[:, j] == 1, b[:, None], a[:, None]), inside])
+            values = np.broadcast_to(evaluate(e, points), (4, 200))
+            assert np.all((lo[:, None] <= values) & (values <= hi[:, None])), to_string(e)
+
+    def test_a_sub_box_encloses_inside_its_box(self):
+        rng = np.random.default_rng(5)
+        for _ in range(120):
+            e, _ = random_smooth_expression(rng)
+            box = self.random_boxes(rng, 4)
+            sub = {}
+            for name, (a, b) in box.items():
+                ends = np.sort(a[:, None] + (b - a)[:, None] * rng.uniform(0.0, 1.0, (4, 2)), axis=1)
+                sub[name] = (ends[:, 0], ends[:, 1])
+            lo, hi = interval_eval(e, box)
+            sub_lo, sub_hi = interval_eval(e, sub)
+            assert np.all((lo <= sub_lo) & (sub_hi <= hi)), to_string(e)
+
+    def test_rounded_ends_enclose_the_exact_result(self):
+        # numpy rounds to nearest, so a point interval's rounded result must
+        # move outward to hold the exact rational one
+        rng = np.random.default_rng(9)
+        for text, exact in (("x1 + x2", lambda a, b: a + b), ("x1 - x2", lambda a, b: a - b),
+                            ("x1 * x2", lambda a, b: a * b), ("x1 / x2", lambda a, b: a / b)):
+            for a, b in rng.uniform(0.1, 10.0, (50, 2)):
+                lo, hi = self.enclosure(text, x1=(a, a), x2=(b, b))
+                assert Fraction(float(lo)) <= exact(Fraction(a), Fraction(b)) <= Fraction(float(hi))
+                assert hi - lo <= 2 * np.spacing(max(abs(lo), abs(hi)))
+
+    def test_an_even_power_across_its_zero_starts_at_zero(self):
+        lo, hi = self.enclosure("(beta - 0.6)^2", beta=(0.3, 0.9))
+        assert lo == 0.0 and 0.09 <= hi <= 0.09 * (1 + 1e-15)
+        assert self.enclosure("(beta - 0.6)^2", beta=(0.7, 0.9))[0] > 0.0
+
+    def test_sin_and_cos_over_a_full_period_are_the_unit_interval(self):
+        for fn in ("sin", "cos"):
+            assert self.enclosure(f"{fn}(x1)", x1=(0.5, 0.5 + 2 * np.pi)) == (-1.0, 1.0)
+
+    def test_sin_over_a_monotone_piece_is_tight(self):
+        lo, hi = self.enclosure("sin(x1)", x1=(0.1, 1.2))
+        assert lo <= np.sin(0.1) and np.sin(0.1) - lo <= np.spacing(np.sin(0.1))
+        assert hi >= np.sin(1.2) and hi - np.sin(1.2) <= np.spacing(np.sin(1.2))
+        # an extremum inside the interval is the bound on its side
+        lo, hi = self.enclosure("cos(x1)", x1=(-0.2, 0.3))
+        assert hi == 1.0 and np.cos(0.3) - lo <= np.spacing(np.cos(0.3))
+
+    @pytest.mark.parametrize("text", ["1 / x1", "ln(x1)", "sqrt(x1)", "x1^0.5", "x1^(-2)", "(x1 - 1)^beta"])
+    def test_an_operand_across_the_domain_edge_is_uncertified(self, text):
+        # no EvalDomainError, and no RuntimeWarning (the test suite errors on one)
+        assert self.enclosure(text, x1=(-1.0, 1.0), beta=(0.5, 0.5)) == (-np.inf, np.inf)
+
+    def test_a_nan_end_is_uncertified(self):
+        # 0 * inf
+        assert self.enclosure("x1 * x2", x1=(0.0, 0.0), x2=(1.0, np.inf)) == (-np.inf, np.inf)
+
+    def test_an_unbound_variable_raises(self):
+        with pytest.raises(UnboundVariableError):
+            interval_eval(parse("x1 + x2"), {"x1": (0.0, 1.0)})

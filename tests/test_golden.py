@@ -84,8 +84,9 @@ def _problem(name, g_text, f_text, params: dict, box, grid) -> ProblemSpec:
 
 
 def _corpus() -> dict[str, ProblemSpec]:
-    """Problems covering the corner route at k = 1..4, the dense fallback,
-    crisp parameters beside fuzzy ones, and ties among distinct corners."""
+    """Problems covering the corner route at k = 1..4, the dense fallback with
+    and without certified parameters, crisp parameters beside fuzzy ones, and
+    ties among distinct corners."""
     grid = GridSpec(17, 13, 6)
     corpus = {}
     for k in (2, 3, 4):
@@ -104,6 +105,17 @@ def _corpus() -> dict[str, ProblemSpec]:
         params = {"b": (m - w, m, m + w), "c": (c * rng.uniform(0.5, 0.8), c, c * rng.uniform(1.2, 1.5))}
         corpus[f"non-monotone-seed{seed}"] = _problem(f"non-monotone-seed{seed}", f"x2*exp(x1*({q}))", f"x2*({q})",
                                                       params, BENCH_BOX, grid)
+    # the fallback with certified parameters pinned: c increasing and d
+    # decreasing beside the uncertified b (k = 3); and a d whose partial has
+    # one sign at the centre and the corners of the alpha = 0 cut but not in
+    # between, which must stay a lattice axis
+    q = "(b - 1)^2 + c - 0.5*d"
+    corpus["decreasing-certified-k3"] = _problem(
+        "decreasing-certified-k3", f"x2*exp(x1*({q}))", f"x2*({q})",
+        {"b": (0.7, 1, 1.3), "c": (0.2, 0.3, 0.4), "d": (0.1, 0.2, 0.3)}, BENCH_BOX, GridSpec(9, 7, 4))
+    q = "(b - 1)^2 + 0.2 + 0.05*sin(6.283185307179586*(d - 1))"
+    corpus["cos-guard"] = _problem("cos-guard", f"x2*exp(x1*({q}))", f"x2*({q})", {"b": (0.7, 1, 1.3), "d": (0, 1, 2)},
+                                   BENCH_BOX, grid)
     worked = ("x1^beta * x2 + gamma", "beta * x2 / x1")
     corpus["crisp-beta"] = _problem("crisp-beta", *worked, {"beta": (0.5, 0.5, 0.5), "gamma": (0, 1, 2)},
                                     WORKED_BOX, grid)
@@ -140,6 +152,10 @@ def _digests(problem: ProblemSpec) -> tuple[str, str]:
 
 
 CORPUS_GOLDEN = {
+    "cos-guard": (
+        "a42e1ee6ce1aec0f26615f863d5943b4d6e4b7f3c234b67fc46116888cb273a0",
+        "32702aefbe24582c1e4655fe0b9adae8a2ecc3711adb8deda2b5d231622a82d5",
+    ),
     "crisp-beta": (
         "c1b4480390caf3169ab801aa0b7b12f236bb12c80553e637c575cf3763f8231b",
         "88d75a41f0088fc7c9948d35543ef60135edbc52d9ef3eb91f20375e4c7be681",
@@ -155,6 +171,10 @@ CORPUS_GOLDEN = {
     "crisp-gamma-upper-edge-tie": (
         "b5b1efba82ffad73926f02cadcb821b756366c950446fdfbf3300853dc63c21e",
         "5a6aa13be10c5a9217749d1d4a6ce50b59fb0dcb18db0b396a74569dd51d0c6d",
+    ),
+    "decreasing-certified-k3": (
+        "dbb82339efe1e46f0cbe8aac92b557487bb488f63c80ea803cf17b12be8906c8",
+        "ed40ebba8f30c1f2b52bf5476b77ee08243cef83ab42066a6b94b17299870adf",
     ),
     "many-params-k2": (
         "47a079d902e1128cf7b79c805d8648bf17000b02d4953254e8b68fbb9aa61501",
