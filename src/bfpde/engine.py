@@ -434,6 +434,21 @@ def _certified_signs(partials, params: FuzzyVector, X1, X2, shape) -> np.ndarray
     return np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
 
 
+def _first_extremal(values: np.ndarray, end: np.ndarray):
+    """Per sample, the first of the ``(C,) + shape`` corner values equal to
+    ``end`` (argmin's or argmax's pick, found without a strided reduction) and
+    whether more than one is; where none is (a NaN end, or a fallback sample's
+    lattice end), the first NaN corner, else corner 0."""
+    hit = values == end
+    first, open_ = np.zeros(end.shape, dtype=np.intp), np.ones(end.shape, dtype=bool)
+    for h in hit:
+        open_ &= ~h
+        first += open_
+    if open_.any():
+        first[open_] = np.isnan(values[:, open_]).argmax(axis=0)
+    return first, hit.sum(axis=0) > 1
+
+
 def _nudged(x: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Coordinates x moved one small step into the interior of the sampled axis."""
     lo, hi = float(axis[0]), float(axis[-1])
@@ -603,10 +618,11 @@ def _alpha_pass(
             env_err = _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha)
         if not candidate or gam_err is not None:
             continue
-        points = [corners[:, values.argmin(axis=0)], corners[:, values.argmax(axis=0)]]
+        (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
+        points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
         if fb.any():
             points[0][:, i1, i2], points[1][:, i1, i2] = optima
-        t1, t2 = np.nonzero(~fb & (((values == lower).sum(axis=0) > 1) | ((values == upper).sum(axis=0) > 1)))
+        t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
         try:
             if t1.size:
                 # distinct corners attain an end on the corner route (e.g. the
@@ -692,15 +708,26 @@ def gamma_curves(
 
 # --- checks ------------------------------------------------------------------
 
-def _masked_worst(values: np.ndarray, mask: np.ndarray, axes: tuple[np.ndarray, ...]):
-    """Max of values over mask plus its location, one coordinate per axis
-    (the first maximum in C order); None if the mask is empty."""
+def _masked_worst(planes, mask: np.ndarray, axes: tuple[np.ndarray, ...]):
+    """Max of a sequence of residual arrays over the samples mask marks, read
+    one array at a time, plus its location, one coordinate per axis: mask's,
+    then the sequence's (a one-array sequence may leave it out).  It is the
+    first maximum, or the first NaN, in C order of the arrays stacked along a
+    last axis; None if the mask is empty."""
     if not mask.any():
         return None, None
-    flat = np.where(mask, values, -np.inf)
-    pos = np.unravel_index(int(flat.argmax()), flat.shape)
-    loc = tuple(float(ax[i]) for ax, i in zip(axes, pos))
-    return float(flat[pos]), loc
+    every, best = mask.all(), None
+    for k, plane in enumerate(planes):
+        flat = plane if every else np.where(mask, plane, -np.inf)
+        pos = int(flat.argmax())
+        v = float(flat.flat[pos])
+        # a NaN beats any number and a larger number a smaller one; then the
+        # smaller position wins, and on an equal key the earlier array
+        key = (v != v, 0.0 if v != v else v, -pos)
+        if best is None or key > best[0]:
+            best = key, v, pos, k
+    _, v, pos, k = best
+    return v, tuple(float(ax[i]) for ax, i in zip(axes, np.unravel_index(pos, mask.shape) + (k,)))
 
 
 def _endpoint_residual(lo, hi, ref_lo, ref_hi) -> np.ndarray:
@@ -728,7 +755,7 @@ def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
     sample order)."""
 
     def scan(a: np.ndarray, find_min: bool):
-        flat = np.where(mask, a, np.inf if find_min else -np.inf)
+        flat = a if mask.all() else np.where(mask, a, np.inf if find_min else -np.inf)
         pos = np.unravel_index(int(flat.argmin() if find_min else flat.argmax()), flat.shape)
         return float(flat[pos]), pos[1:]
 
@@ -785,14 +812,24 @@ def check_structure(
     return _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol, candidate=True).structure
 
 
+def _alpha_planes(*arrays: np.ndarray):
+    """The alpha planes of curve arrays: contiguous in the buffers the pass writes."""
+    return [a.transpose(2, 0, 1) for a in arrays]
+
+
+def _any_feasible(flags: np.ndarray, feasible: np.ndarray) -> bool:
+    return bool(flags.any(axis=2)[feasible].any())
+
+
 @_masked_out_invalid
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
     """Every envelope must satisfy lower <= upper at every feasible sample
-    (an overflowing lower - upper raises :class:`NonFiniteValueError`)."""
+    (an overflowing lower - upper raises :class:`NonFiniteValueError`).  Each
+    curve is read one alpha plane at a time."""
     worst, loc, role = -np.inf, None, None
     for curve in curves:
-        mask = curve.feasible[:, :, None] & np.ones(curve.shape, dtype=bool)
-        v, l = _masked_worst(curve.lower - curve.upper, mask, (curve.x1, curve.x2, curve.alpha))
+        planes = map(np.subtract, *_alpha_planes(curve.lower, curve.upper))
+        v, l = _masked_worst(planes, curve.feasible, (curve.x1, curve.x2, curve.alpha))
         if v is not None and v > worst:
             worst, loc, role = v, l, curve.role
     if loc is None:
@@ -809,38 +846,37 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     3. Gamma_1 <= Gamma_2 at alpha = 1,
 
     each within ``tol`` slack at every feasible (x1, x2) (an overflowing
-    difference raises :class:`NonFiniteValueError`).
+    difference raises :class:`NonFiniteValueError`).  Each condition reads
+    two alpha planes at a time.
     """
-    feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
-
+    lo, hi = _alpha_planes(gamma.lower, gamma.upper)
+    axes = (gamma.x1, gamma.x2, gamma.alpha[1:])
     # condition 1: drops of Gamma_1 across successive alpha samples
-    d1 = -(gamma.lower[:, :, 1:] - gamma.lower[:, :, :-1])
-    v1, l1 = _masked_worst(d1, feas3[:, :, 1:], (gamma.x1, gamma.x2, gamma.alpha[1:]))
+    v1, l1 = _masked_worst((-(b - a) for a, b in zip(lo, lo[1:])), gamma.feasible, axes)
     # condition 2: rises of Gamma_2
-    d2 = gamma.upper[:, :, 1:] - gamma.upper[:, :, :-1]
-    v2, l2 = _masked_worst(d2, feas3[:, :, 1:], (gamma.x1, gamma.x2, gamma.alpha[1:]))
+    v2, l2 = _masked_worst(map(np.subtract, hi[1:], hi), gamma.feasible, axes)
     # condition 3 at the core cut
-    c3 = gamma.lower[:, :, -1] - gamma.upper[:, :, -1]
-    v3, l3 = _masked_worst(c3[:, :, None], feas3[:, :, -1:], (gamma.x1, gamma.x2, gamma.alpha[-1:]))
+    v3, l3 = _masked_worst([lo[-1] - hi[-1]], gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha[-1:]))
 
     candidates = [(v, l, i + 1) for i, (v, l) in enumerate(((v1, l1), (v2, l2), (v3, l3))) if v is not None]
     if not candidates:
         return CheckReport("differentiability", True, 0.0, None, "no feasible samples")
     worst, loc, cond = max(candidates, key=lambda t: t[0])
-    widened = bool((gamma.approximate & feas3).any())
+    widened = _any_feasible(gamma.approximate, gamma.feasible)
     return _gate("differentiability", worst, loc, tol, widened, f"condition {cond} violated")
 
 
 @_masked_out_invalid
 def check_equality(gamma: EnvelopeCurve, f_curve: EnvelopeCurve, tol: float = DEFAULT_EQ_TOL) -> CheckReport:
     """Gamma must equal the F envelope end-to-end: |Gamma_i - f_i| <= tol*(1+|f_i|)
-    (an overflowing residual raises :class:`NonFiniteValueError`)."""
-    feas3 = gamma.feasible[:, :, None] & np.ones(gamma.shape, dtype=bool)
-    resid = _endpoint_residual(gamma.lower, gamma.upper, f_curve.lower, f_curve.upper)
-    worst, loc = _masked_worst(resid, feas3, (gamma.x1, gamma.x2, gamma.alpha))
+    (an overflowing residual raises :class:`NonFiniteValueError`).  The
+    residual is formed one alpha plane at a time."""
+    planes = map(_endpoint_residual, *_alpha_planes(gamma.lower, gamma.upper, f_curve.lower, f_curve.upper))
+    worst, loc = _masked_worst(planes, gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha))
     if worst is None:
         return CheckReport("equality", True, 0.0, None, "no feasible samples")
-    return _gate("equality", worst, loc, tol, bool(((gamma.approximate | f_curve.approximate) & feas3).any()))
+    widened = _any_feasible(gamma.approximate, gamma.feasible) or _any_feasible(f_curve.approximate, gamma.feasible)
+    return _gate("equality", worst, loc, tol, widened)
 
 
 @_masked_out_invalid
@@ -880,8 +916,8 @@ def check_boundary(
         any_fb = any_fb or bool(((c.approximate | t.approximate) & feas[:, :, None]).any())
         # alpha-major views, so ties (and the first overflow) go to the lowest
         # alpha, then the lowest edge position
-        resid = _endpoint_residual(*(v.transpose(2, 0, 1) for v in (c.lower, c.upper, t.lower, t.upper)))
-        v, (at_alpha, at_x1, at_x2) = _masked_worst(resid, np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
+        resid = _endpoint_residual(*_alpha_planes(c.lower, c.upper, t.lower, t.upper))
+        v, (at_alpha, at_x1, at_x2) = _masked_worst([resid], np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
         if v > worst:
             worst, loc = v, (at_x1, at_x2, at_alpha)
         if not np.isfinite(worst):

@@ -303,15 +303,20 @@ def emit_curves(curves: list[EnvelopeCurve], path) -> None:
     """Write sampled curves as CSV rows ``role,x1,x2,alpha,lower,upper``.
 
     Rows appear in lexicographic (role, x1, x2, alpha) order, restricted to
-    feasible samples, with shortest round-trip decimal formatting.
+    feasible samples, with shortest round-trip decimal formatting.  The file
+    is written one role at a time, so only that role's rows are held as text.
     """
-    lines = ["role,x1,x2,alpha,lower,upper"]
-    for curve in sorted(curves, key=lambda c: c.role):
-        # format column by column; one row prefix per feasible (x1, x2)
-        x1s, x2s, alphas = (list(map(repr, axis.tolist())) for axis in (curve.x1, curve.x2, curve.alpha))
-        for i1, i2 in np.argwhere(curve.feasible).tolist():
-            prefix = f"{curve.role},{x1s[i1]},{x2s[i2]},"
-            lower = map(repr, curve.lower[i1, i2].tolist())
-            upper = map(repr, curve.upper[i1, i2].tolist())
-            lines.extend(f"{prefix}{a},{lo},{hi}" for a, lo, hi in zip(alphas, lower, upper))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("role,x1,x2,alpha,lower,upper\n")
+        for curve in sorted(curves, key=lambda c: c.role):
+            # format column by column; one row prefix per feasible (x1, x2)
+            x1s, x2s, alphas = (list(map(repr, axis.tolist())) for axis in (curve.x1, curve.x2, curve.alpha))
+            lines = []
+            for i1, i2 in np.argwhere(curve.feasible).tolist():
+                prefix = f"{curve.role},{x1s[i1]},{x2s[i2]},"
+                lower = map(repr, curve.lower[i1, i2].tolist())
+                upper = map(repr, curve.upper[i1, i2].tolist())
+                lines.extend(f"{prefix}{a},{lo},{hi}" for a, lo, hi in zip(alphas, lower, upper))
+            if lines:
+                out.write("\n".join(lines))
+                out.write("\n")

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1309,3 +1310,97 @@ class TestPinnedLattice:
         widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
         assert 33 ** 2 in widths
         self.assert_matches_full_lattice(problem)
+
+
+class TestPlaneReductions:
+    """The checks reduce their residuals one alpha plane at a time and the
+    corner route finds its first extremal corner without a strided argmin;
+    both must pick exactly what one whole-grid reduction picks, ties, NaN and
+    infinities included."""
+
+    @staticmethod
+    def planted(rng, shape):
+        # integer values, so ties within and across planes are common
+        r = np.round(rng.normal(size=shape) * 2.0)
+        for value in (np.nan, np.inf, -np.inf, -0.0):
+            if rng.random() < 0.3:
+                r[tuple(rng.integers(0, n) for n in shape)] = value
+        return r
+
+    def test_plane_by_plane_worst_matches_one_whole_grid_argmax(self):
+        rng = np.random.default_rng(20)
+        for _ in range(600):
+            n1, n2, na = rng.integers(1, 6), rng.integers(1, 6), rng.integers(2, 7)
+            r = self.planted(rng, (n1, n2, na))
+            feas = rng.random((n1, n2)) < rng.choice([0.3, 0.8, 1.0])
+            axes = (np.arange(n1) + 10.0, np.arange(n2) + 20.0, np.arange(na) / 10.0)
+            got = bfpde.engine._masked_worst(r.transpose(2, 0, 1), feas, axes)
+            if not feas.any():
+                assert got == (None, None)
+                continue
+            flat = np.where(feas[:, :, None], r, -np.inf)
+            pos = np.unravel_index(int(flat.argmax()), flat.shape)
+            want = float(flat[pos])
+            assert np.array_equal(got[0], want, equal_nan=True) and math.copysign(1, got[0]) == math.copysign(1, want)
+            assert got[1] == tuple(float(ax[i]) for ax, i in zip(axes, pos))
+            # one alpha-major array, as the boundary edges pass it: ties go to the lowest alpha
+            stacked, alpha_major = r.transpose(2, 0, 1), (axes[2], axes[0], axes[1])
+            got = bfpde.engine._masked_worst([stacked], np.broadcast_to(feas, stacked.shape), alpha_major)
+            flat = np.where(feas, stacked, -np.inf)
+            pos = np.unravel_index(int(flat.argmax()), flat.shape)
+            assert np.array_equal(got[0], float(flat[pos]), equal_nan=True)
+            assert got[1] == tuple(float(ax[i]) for ax, i in zip(alpha_major, pos))
+
+    def test_first_extremal_corner_matches_argmin_and_argmax(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            c = int(rng.choice([1, 2, 4, 8, 16]))
+            values = self.planted(rng, (c, rng.integers(1, 5), rng.integers(1, 5)))
+            for end, arg in ((values.min(axis=0), values.argmin(axis=0)), (values.max(axis=0), values.argmax(axis=0))):
+                first, ties = bfpde.engine._first_extremal(values, end)
+                assert np.array_equal(first, arg)
+                assert np.array_equal(ties, (values == end).sum(axis=0) > 1)
+
+    def test_first_extremal_corner_where_no_corner_attains_the_end(self):
+        # a fallback sample's lattice end: the index stays a valid corner
+        values = np.array([[[1.0, np.nan]], [[np.nan, 2.0]], [[3.0, np.nan]]])
+        first, ties = bfpde.engine._first_extremal(values, np.array([[0.5, 0.5]]))
+        assert first.tolist() == [[1, 0]]
+        assert not ties.any()
+
+
+class TestCheckMemory:
+    """Each curve check holds a few alpha planes, never a whole-grid temporary
+    (numpy reports its buffers to tracemalloc)."""
+
+    SHAPE = (101, 101, 41)
+
+    @classmethod
+    def curve(cls, role, rng, feasible):
+        # alpha-major buffers viewed as (n1, n2, n_alpha), as the pass builds them
+        n1, n2, na = cls.SHAPE
+        lower = np.empty((na, n1, n2))
+        lower[:] = rng.random((n1, n2))
+        upper = lower + np.linspace(1.0, 0.5, na)[:, None, None]
+        return EnvelopeCurve(role, np.linspace(1.0, 2.0, n1), np.linspace(1.0, 2.0, n2), np.linspace(0.0, 1.0, na),
+                             lower.transpose(1, 2, 0), upper.transpose(1, 2, 0),
+                             np.zeros((na, n1, n2), dtype=bool).transpose(1, 2, 0), feasible)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_each_check_peaks_below_one_full_grid_array(self, partial):
+        rng = np.random.default_rng(22)
+        n1, n2, _ = self.SHAPE
+        feasible = np.ones((n1, n2), dtype=bool)
+        if partial:
+            feasible[:, : n2 // 3] = False
+        y, f, gam = (self.curve(role, rng, feasible) for role in ("Y", "F", ROLE_GAMMA))
+        grid_bytes = math.prod(self.SHAPE) * 8
+        for check in (lambda: check_fuzzy_validity([y, f]), lambda: check_differentiability(gam),
+                      lambda: check_equality(gam, f)):
+            tracemalloc.start()
+            try:
+                check()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < grid_bytes

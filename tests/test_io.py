@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,17 @@ class TestEmitCurves:
         out = tmp_path / "curves.csv"
         emit_curves([], out)
         assert out.read_text() == "role,x1,x2,alpha,lower,upper\n"
+
+    def test_holds_one_role_of_text_at_a_time(self, tmp_path):
+        curves = compute_curves(load_problem(PROBLEMS / "worked_example.json"))
+        out = tmp_path / "curves.csv"
+        tracemalloc.start()
+        try:
+            emit_curves(curves, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.stat().st_size
 
     def test_values_round_trip_exactly(self, tmp_path):
         problem = load_problem(PROBLEMS / "worked_example.json")
