@@ -18,37 +18,43 @@ and boundary conditions.
 
 Envelope strategy
 -----------------
-Each alpha slice of the grid is visited once per expression.  For G, that one
+Each alpha slice of the grid is visited once per expression; for G that one
 candidate pass serves the structure check, the Y envelope and Gamma.  A
 parameter whose cut has no width (lo == hi: a crisp one, or any at alpha = 1)
 is a constant of the slice, so each slice builds one table of the 2^m corners
 of the cut box over its m live parameters, a leading array axis that every
-step reads: G and dG/dx2 are each evaluated once over all corners, and each
-live parameter's partial of G once over the box center and the corners.  If
-no parameter shows strictly opposite signs across those probes, the extremum
-is attained at a corner and the envelope is the exact min/max of the corner
-values.  Otherwise the sample falls back to the extremes of G over a dense
-lattice and is flagged approximate.  The lattice spans only the live axes left
-uncertified: the first slice with fallback samples encloses each partial over
-the alpha = 0 cut box, which holds every cut, by interval arithmetic, and a
-parameter whose partial has a certified sign at every fallback sample of a
-slice is pinned at the cut end attaining each sample's min, and its max.  Each
-envelope end carries the parameter point that attains it: at a fallback
-sample, the first lattice point attaining it; on the corner route, the first
-extremal corner, or where distinct corners tie, the tied corner that is
-extremal at a point nudged slightly into the domain interior (which keeps the
-selection consistent with the envelope's one-sided derivative at boundary
-samples).  One subset evaluator serves the lattice sweep and the tie-break.
-By Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and likewise for
-the max), so Gamma substitutes those points into the symbolic partials, and
-its values are symbolic on both routes.  Checks that consume approximate
-samples run at a widened tolerance (``FALLBACK_TOL``) because a lattice
-optimum is only as close to the true one as the lattice spacing.  A NaN or
-infinite corner value, envelope or Gamma value at a feasible sample, and a
-domain error of G or dG/dx2 at a cut-box corner, are reported as structure
-evidence, never passed on to the checks.  The four curve checks end in one gate that turns
-their worst residual into the report, so an overflowing residual (finite values
-too far apart to subtract) is structure evidence with its location in each.
+stage reads.  G and dG/dx2 are evaluated once over all corners, for the
+structure check and the envelope.  Three stages follow.
+
+Envelope: each live parameter's partial of G is probed once over the box
+center and the corners.  If no parameter shows strictly opposite signs, the
+extremum is attained at a corner and the envelope is the exact min/max of the
+corner values.  Otherwise the sample falls back to the extremes of G over a
+dense lattice and is flagged approximate.  The lattice spans only the live
+axes left uncertified: the first slice with fallback samples encloses each
+partial over the alpha = 0 cut box, which holds every cut, by interval
+arithmetic, and a parameter certified one-signed at every fallback sample of
+a slice is pinned at the cut end attaining each sample's min, and its max.
+
+Point: each envelope end carries the parameter point that attains it: at a
+fallback sample, the first lattice point attaining it; on the corner route,
+the first extremal corner or, where distinct corners tie, the tied corner
+extremal at a point nudged slightly into the domain interior (consistent with
+the envelope's one-sided derivative at boundary samples).  One subset
+evaluator serves the lattice sweep and the tie-break.
+
+Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
+likewise for the max), so Gamma substitutes those points into the symbolic
+partials, and its values are symbolic on both routes.
+
+Checks that consume approximate samples run at a widened tolerance
+(``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
+as the lattice spacing.  A NaN or infinite corner value, envelope or Gamma
+value at a feasible sample, and a domain error of G or dG/dx2 at a cut-box
+corner, are structure evidence, never passed on to the checks.  The four
+curve checks end in one gate that turns their worst residual into the report,
+so an overflowing residual (finite values too far apart to subtract) is
+structure evidence with its location in each.
 
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
@@ -456,22 +462,20 @@ def _nudged(x: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.where(x + d <= hi, x + d, x - d)
 
 
-def _non_finite(arrays: dict, feas: np.ndarray, X1, X2, alpha: float) -> NonFiniteValueError | None:
+def _non_finite(arrays: dict, feas: np.ndarray, x1p, x2p, alpha: float) -> NonFiniteValueError | None:
     """The error for the first feasible sample, in sample order, where one of
     the named ``(...,) + feas.shape`` arrays is NaN or infinite; None if there
-    is none.  ``X1`` and ``X2`` broadcast to the sample coordinates."""
+    is none.  ``x1p`` and ``x2p`` are the sample axes."""
     finite = [np.isfinite(a).reshape((-1,) + feas.shape).all(axis=0) for a in arrays.values()]
     bad = feas & ~np.logical_and.reduce(finite)
     if not bad.any():
         return None
     pos = tuple(np.argwhere(bad)[0])
-    x1 = float(np.broadcast_to(X1, feas.shape)[pos])
-    x2 = float(np.broadcast_to(X2, feas.shape)[pos])
     for what, a in arrays.items():
         column = np.ravel(a[(...,) + pos])
         off = column[~np.isfinite(column)]
         if off.size:
-            return NonFiniteValueError(what, x1, x2, alpha, float(off[0]))
+            return NonFiniteValueError(what, float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(off[0]))
     raise AssertionError("a non-finite sample has a non-finite value")
 
 
@@ -481,28 +485,96 @@ def _non_finite(arrays: dict, feas: np.ndarray, X1, X2, alpha: float) -> NonFini
 class _AlphaPass:
     """What one pass over the alpha slices of an expression produced.
 
-    A curve is None when it could not be computed; its error field then holds
-    the first error, in alpha order, that computing that curve alone raises.
+    ``errors`` maps each part ("structure", "envelope", "gamma") that failed
+    to its first error in alpha order; that part's curve is then None, while
+    the structure report already carries its error.
     """
 
     envelope: EnvelopeCurve | None = None
-    envelope_error: Exception | None = None
     gamma: EnvelopeCurve | None = None
-    gamma_error: Exception | None = None
     structure: CheckReport | None = None
-    structure_error: Exception | None = None  # the error the structure report already carries
+    errors: dict[str, Exception] = field(default_factory=dict)
 
+    def fail(self, parts, error: Exception | None) -> None:
+        """Keep ``error`` (unless None) for each of ``parts`` that has none yet."""
+        for part in parts if error is not None else ():
+            self.errors.setdefault(part, error)
 
-def _result(value, error: Exception | None):
-    if error is not None:
-        raise error
-    return value
+    def result(self, part: str):
+        """The part's curve; raises the part's error if it failed."""
+        if part in self.errors:
+            raise self.errors[part]
+        return getattr(self, part)
 
 
 def _grid_samples(box: DomainBox, grid: GridSpec):
     """The grid's (x1, x2, alpha) sample axes and its feasible (x1, x2) mask."""
     x1p, x2p, alphas = grid_axes(box, grid)
     return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
+
+
+def _envelope_stage(expr, params: FuzzyVector, partials, corners, values, base: dict, x1p, x2p, signs):
+    """One slice's envelope of ``expr``: the min and max of its corner ``values``
+    (evaluated here when None), or of the dense lattice at the samples whose
+    sign probes fall back.  Returns both ends, the fallback mask, the lattice
+    points attaining the ends there (None if no sample falls back) and the
+    partials' certified ``signs``, computed at the first slice that falls back."""
+    names, shape = params.names, (x1p.size, x2p.size)
+    fb = _sign_fallback(partials, names, corners, base, shape)
+    if values is None:
+        (values,) = _corner_values((expr,), names, corners, base, shape)
+    lower, upper, optima = values.min(axis=0), values.max(axis=0), None
+    if fb.any():
+        i1, i2 = np.nonzero(fb)
+        if signs is None:  # certified once per pass, on the alpha = 0 box that holds every cut
+            signs = _certified_signs(partials, params, base["x1"], base["x2"], shape)
+        table, allowed = _box_lattice(corners[:, 0], corners[:, -1], FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
+        lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
+    return lower, upper, fb, optima, signs
+
+
+def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p) -> list[np.ndarray]:
+    """The parameter point attaining each end of one slice's envelope, a
+    ``(k,) + shape`` array each: the lattice ``optima`` at the fallback
+    samples ``fb``, else the first extremal corner or, where distinct corners
+    tie (e.g. the partial vanishes along an axis), the tied corner extremal
+    one step into the domain interior, so that the symbolic Gamma matches the
+    envelope's one-sided derivative."""
+    (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
+    points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
+    if optima is not None:
+        points[0][:, fb], points[1][:, fb] = optima
+    t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
+    if t1.size:
+        tied = values[:, t1, t2].T
+        nudged = _nudged(x1p[t1], x1p), _nudged(x2p[t2], x2p)
+        *_, optima = _extremes_at(expr, names, corners, *nudged,
+                                  (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
+        points[0][:, t1, t2], points[1][:, t1, t2] = optima
+    return points
+
+
+def _gamma_stage(x_partials, names, points, base: dict, feas, x1p, x2p, alpha: float, denom_tol: float):
+    """Gamma's lower and upper end on one slice.  By Danskin's theorem each
+    envelope end moves with G at the parameter point attaining it, so its
+    x-partials (``x_partials``, dG/dx1 and dG/dx2) are G's there.  Raises
+    :class:`NearZeroDenominatorError` where |dG/dx2| < denom_tol, and
+    :class:`NonFiniteValueError` where Gamma is NaN or infinite, each at the
+    first such feasible sample."""
+    ends = []
+    for point in points:
+        binding = dict(base, **{name: point[j] for j, name in enumerate(names)})
+        num, den = (_as_mesh(evaluate(d, binding), feas.shape) for d in x_partials)
+        bad = feas & (np.abs(den) < denom_tol)
+        if bad.any():
+            pos = np.argwhere(bad)[0]
+            raise NearZeroDenominatorError(float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(den[tuple(pos)]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends.append(np.divide(num, den))
+    error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, x1p, x2p, alpha)
+    if error is not None:
+        raise error
+    return ends
 
 
 def _alpha_pass(
@@ -525,132 +597,68 @@ def _alpha_pass(
     builds the envelope curve of ``expr`` under ``role``; a non-finite value
     there is named after ``label`` (default "<role> envelope").  In candidate
     mode it also builds the structure check, from ``expr`` and its x2-partial
-    at every cut-box corner, and the quotient-of-partials (Gamma) curves of
-    the envelope.  Each slice builds one table of the 2^m corners over its m
-    live parameters and evaluates the corner values, the sign probes and the
-    dense fallback once for all three.  Each envelope end carries the
-    parameter point that attains it, a ``(k,) + shape`` array: the lattice
-    optimum at a fallback sample, else the first extremal corner or, where
-    distinct corners tie, the tied corner extremal one nudge into the
-    interior.  Evaluation errors are collected in the result, not raised: a
-    domain error at a corner fails the structure report, the envelope and
-    Gamma alike; one in the sign probes or the lattice fails both curves; one
-    in the tie-break or in Gamma's partials fails Gamma only.
+    at every corner, and runs the point and the Gamma stage after the
+    envelope stage.  Errors are kept per part in ``errors``, not raised: a
+    domain error at a corner fails every part, one in the envelope stage both
+    curves, one in the point or the Gamma stage Gamma only, and a non-finite
+    envelope the envelope only.
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
         raise ValueError(f"every envelope enumerates the 2^k cut-box corners; at most {CORNER_PARAM_LIMIT} parameters")
-    X1, X2 = x1p[:, None], x2p[None, :]
-    shape = (x1p.size, x2p.size)
     if not feas.any():
         raise ValueError("no grid samples satisfy the domain constraint")
-    base = {"x1": X1, "x2": X2}
+    shape, base = (x1p.size, x2p.size), {"x1": x1p[:, None], "x2": x2p[None, :]}
     partials = [differentiate(expr, name) for name in names]
-    if candidate:
-        dg_dx1, dg_dx2 = differentiate(expr, "x1"), differentiate(expr, "x2")
-
-    def slice_gamma(alpha, points):
-        # Danskin: each envelope end moves with G at the parameters attaining
-        # it, so its x-partials are G's there
-        ends = []
-        for point in points:
-            binding = dict(base, **{name: point[j] for j, name in enumerate(names)})
-            num = _as_mesh(evaluate(dg_dx1, binding), shape)
-            den = _as_mesh(evaluate(dg_dx2, binding), shape)
-            bad = feas & (np.abs(den) < denom_tol)
-            if bad.any():
-                pos = np.argwhere(bad)[0]
-                raise NearZeroDenominatorError(
-                    float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(den[tuple(pos)])
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ends.append(np.divide(num, den))
-        error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, X1, X2, alpha)
-        if error is not None:
-            raise error
-        return ends
-
+    parts = ("envelope", "gamma") if candidate else ("envelope",)
     # alpha-major buffers: every slice lands in one contiguous block
     planes = (alphas.size,) + shape
-    env_lo, env_hi = np.empty(planes), np.empty(planes)
-    approx = np.zeros(planes, dtype=bool)
+    env, approx = (np.empty(planes), np.empty(planes)), np.zeros(planes, dtype=bool)
     if candidate:
-        gam_lo, gam_hi = np.empty(planes), np.empty(planes)
-    env_err = gam_err = signs = None
-    slots, structure_err = [], None
-
+        x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
+        gam = np.empty(planes), np.empty(planes)
+    result, slots, signs = _AlphaPass(), [], None
     what = label or f"{role} envelope"
-    for ki in range(alphas.size):
-        alpha = float(alphas[ki])
-        los, his = _cut_arrays(params, alpha)
-        corners = _corner_points(los, his)
+    for ki, alpha in enumerate(alphas.tolist()):
+        corners, values = _corner_points(*_cut_arrays(params, alpha)), None
         if candidate:
             try:
-                values, d2 = _corner_values((expr, dg_dx2), names, corners, base, shape)
+                values, d2 = _corner_values((expr, x_partials[1]), names, corners, base, shape)
             except EvalError as err:
-                structure_err = structure_err or err
-                env_err, gam_err = env_err or err, gam_err or err
-                continue
-            finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
-            if structure_err is None and not finite[feas].all():
-                structure_err = _non_finite(
-                    {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}, feas, X1, X2, alpha
-                )
-            slots.append((alpha, _structure_slice(values, d2, feas & finite)))
-        if env_err is not None and (gam_err is not None or not candidate):
+                result.fail(("structure",) + parts, err)
+            else:
+                finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
+                if not finite[feas].all():
+                    corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}
+                    result.fail(("structure",), _non_finite(corner_values, feas, x1p, x2p, alpha))
+                slots.append((alpha, _structure_slice(values, d2, feas & finite)))
+        if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
         try:
-            fb = _sign_fallback(partials, names, corners, base, shape)
-            if not candidate:
-                (values,) = _corner_values((expr,), names, corners, base, shape)
-            lower, upper = values.min(axis=0), values.max(axis=0)
-            if fb.any():
-                i1, i2 = np.nonzero(fb)
-                if signs is None:  # certified once per pass, on the alpha = 0 box that holds every cut
-                    signs = _certified_signs(partials, params, X1, X2, shape)
-                table, allowed = _box_lattice(los, his, FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
-                lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
+            lower, upper, fb, optima, signs = _envelope_stage(expr, params, partials, corners, values, base, x1p,
+                                                              x2p, signs)
         except EvalError as err:
-            env_err, gam_err = env_err or err, gam_err or err
+            result.fail(parts, err)
             continue
-        env_lo[ki], env_hi[ki], approx[ki] = lower, upper, fb
-        if env_err is None:
-            env_err = _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, X1, X2, alpha)
-        if not candidate or gam_err is not None:
+        env[0][ki], env[1][ki], approx[ki] = lower, upper, fb
+        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, x1p, x2p, alpha))
+        if not candidate or "gamma" in result.errors:
             continue
-        (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
-        points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
-        if fb.any():
-            points[0][:, i1, i2], points[1][:, i1, i2] = optima
-        t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
         try:
-            if t1.size:
-                # distinct corners attain an end on the corner route (e.g. the
-                # partial vanishes along an axis); keep the tied corner that is
-                # extremal one step into the domain interior, so the symbolic
-                # Gamma matches the envelope's one-sided derivative
-                tied = values[:, t1, t2].T
-                nudged = _nudged(x1p[t1], x1p), _nudged(x2p[t2], x2p)
-                *_, optima = _extremes_at(expr, names, corners, *nudged,
-                                          (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
-                points[0][:, t1, t2], points[1][:, t1, t2] = optima
-            gam_lo[ki], gam_hi[ki] = slice_gamma(alpha, points)
+            points = _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p)
+            gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, base, feas, x1p, x2p, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
-            gam_err = err
+            result.fail(("gamma",), err)
 
-    def curve(curve_role, lo, hi):
-        return EnvelopeCurve(curve_role, x1p, x2p, alphas, lo.transpose(1, 2, 0), hi.transpose(1, 2, 0),
-                             approx.transpose(1, 2, 0), feas)
+    def curve(curve_role, ends):
+        return EnvelopeCurve(curve_role, x1p, x2p, alphas, *(a.transpose(1, 2, 0) for a in (*ends, approx)), feas)
 
-    result = _AlphaPass(envelope_error=env_err)
-    if env_err is None:
-        result.envelope = curve(role, env_lo, env_hi)
+    if "envelope" not in result.errors:
+        result.envelope = curve(role, env)
     if candidate:
-        result.gamma_error = gam_err
-        if gam_err is None:
-            result.gamma = curve(ROLE_GAMMA, gam_lo, gam_hi)
-        result.structure = _structure_report(slots, x1p, x2p, denom_tol, structure_err)
-        result.structure_error = structure_err
+        if "gamma" not in result.errors:
+            result.gamma = curve(ROLE_GAMMA, gam)
+        result.structure = _structure_report(slots, x1p, x2p, denom_tol, result.errors.get("structure"))
     return result
 
 
@@ -666,8 +674,7 @@ def envelope_curve(
     Raises :class:`NonFiniteValueError` when the envelope is NaN or infinite at
     a feasible sample.
     """
-    result = _alpha_pass(expr, params, *_grid_samples(box, grid), role)
-    return _result(result.envelope, result.envelope_error)
+    return _alpha_pass(expr, params, *_grid_samples(box, grid), role).result("envelope")
 
 
 def envelope(expr: Expression, params: FuzzyVector, x1: float, x2: float, alpha: float) -> tuple[float, float]:
@@ -677,7 +684,7 @@ def envelope(expr: Expression, params: FuzzyVector, x1: float, x2: float, alpha:
     """
     point = _alpha_pass(expr, params, np.array([x1], dtype=float), np.array([x2], dtype=float),
                         np.array([alpha], dtype=float), np.ones((1, 1), dtype=bool), label="envelope")
-    curve = _result(point.envelope, point.envelope_error)
+    curve = point.result("envelope")
     return float(curve.lower[0, 0, 0]), float(curve.upper[0, 0, 0])
 
 
@@ -702,8 +709,7 @@ def gamma_curves(
     Raises :class:`NonFiniteValueError` when Gamma is NaN or infinite at a
     feasible sample.
     """
-    result = _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol, candidate=True)
-    return _result(result.gamma, result.gamma_error)
+    return _alpha_pass(g, params, *_grid_samples(box, grid), denom_tol=denom_tol, candidate=True).result("gamma")
 
 
 # --- checks ------------------------------------------------------------------
@@ -823,14 +829,14 @@ def _any_feasible(flags: np.ndarray, feasible: np.ndarray) -> bool:
 
 @_masked_out_invalid
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
-    """Every envelope must satisfy lower <= upper at every feasible sample
-    (an overflowing lower - upper raises :class:`NonFiniteValueError`).  Each
-    curve is read one alpha plane at a time."""
+    """Every envelope must satisfy lower <= upper at every feasible sample (a
+    NaN or overflowing lower - upper raises :class:`NonFiniteValueError`, the
+    first NaN in curve order first).  Each curve is read one plane at a time."""
     worst, loc, role = -np.inf, None, None
     for curve in curves:
         planes = map(np.subtract, *_alpha_planes(curve.lower, curve.upper))
         v, l = _masked_worst(planes, curve.feasible, (curve.x1, curve.x2, curve.alpha))
-        if v is not None and v > worst:
+        if v is not None and (v > worst or np.isnan(v) > np.isnan(worst)):
             worst, loc, role = v, l, curve.role
     if loc is None:
         return CheckReport("fuzzy_validity", True, 0.0, None, "no feasible samples")
@@ -899,11 +905,6 @@ def check_boundary(
     x1p, x2p, alphas = grid_axes(box, grid)
     worst, loc = -np.inf, None
     any_fb = False
-
-    def edge_envelope(expr, whose, e1, e2, feas) -> EnvelopeCurve:
-        edge = _alpha_pass(expr, params, e1, e2, alphas, feas, label=f"{whose} envelope on the boundary")
-        return _result(edge.envelope, edge.envelope_error)
-
     for cond in conditions:
         # the edge is the grid with one point on the fixed axis
         at = np.array([cond.at], dtype=float)
@@ -911,8 +912,8 @@ def check_boundary(
         feas = feasible_mask(box, e1[:, None], e2[None, :], (e1.size, e2.size))
         if not feas.any():
             continue
-        c = edge_envelope(candidate, "candidate", e1, e2, feas)
-        t = edge_envelope(cond.target, "target", e1, e2, feas)
+        c, t = (_alpha_pass(expr, params, e1, e2, alphas, feas, label=f"{whose} envelope on the boundary")
+                .result("envelope") for expr, whose in ((candidate, "candidate"), (cond.target, "target")))
         any_fb = any_fb or bool(((c.approximate | t.approximate) & feas[:, :, None]).any())
         # alpha-major views, so ties (and the first overflow) go to the lowest
         # alpha, then the lowest edge position
@@ -954,22 +955,19 @@ def verify(problem: ProblemSpec) -> Verdict:
     them in the verdict.
     """
     tols = problem.tolerances
-    g_pass = _alpha_pass(
-        problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid), ROLE_Y, tols.denom_tol,
-        candidate=True,
-    )
-    y_curve, f_curve, gamma = g_pass.envelope, None, g_pass.gamma
-    envelope_error = g_pass.envelope_error
-    if envelope_error is None:
+    g_pass = _alpha_pass(problem.g, problem.parameters, *_grid_samples(problem.box, problem.grid),
+                         denom_tol=tols.denom_tol, candidate=True)
+    y_curve, f_curve, gamma, errors = g_pass.envelope, None, g_pass.gamma, g_pass.errors
+    if "envelope" not in errors:
         try:
             f_curve = envelope_curve(problem.f, problem.parameters, problem.box, problem.grid, ROLE_F)
         except (EvalError, NonFiniteValueError) as err:
-            envelope_error = err
+            errors["envelope"] = err
     # one failed sign probe fails Y and Gamma alike, with one error
-    evidence = list(dict.fromkeys(e for e in (envelope_error, g_pass.gamma_error) if e is not None))
+    evidence = list(dict.fromkeys(errors[part] for part in ("envelope", "gamma") if part in errors))
     curves_error = evidence[0] if evidence else None
     # a domain error at a corner already fails the structure report
-    evidence = [e for e in evidence if e is not g_pass.structure_error]
+    evidence = [e for e in evidence if e is not errors.get("structure")]
     reports: dict[str, CheckReport] = {}
 
     def attempt(name: str, check, *args) -> None:
@@ -978,7 +976,7 @@ def verify(problem: ProblemSpec) -> Verdict:
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             evidence.append(err)
 
-    if envelope_error is None:
+    if "envelope" not in errors:
         attempt("fuzzy_validity", check_fuzzy_validity, [y_curve, f_curve])
     if gamma is not None:
         attempt("differentiability", check_differentiability, gamma, tols.mono_tol)
@@ -1004,4 +1002,6 @@ def compute_curves(problem: ProblemSpec) -> list[EnvelopeCurve]:
     surface); raises the verdict's ``curves_error`` when one of them could not
     be computed."""
     verdict = verify(problem)
-    return _result(verdict.curves, verdict.curves_error)
+    if verdict.curves_error is not None:
+        raise verdict.curves_error
+    return verdict.curves

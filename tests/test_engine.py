@@ -41,7 +41,7 @@ from bfpde.engine import (
     gamma_curves,
     verify,
 )
-from bfpde.expr import EvalError, differentiate, evaluate, parse
+from bfpde.expr import EvalDomainError, EvalError, differentiate, evaluate, parse
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
 from bfpde.io import load_problem, report_to_dict
 
@@ -791,6 +791,22 @@ class TestTieBreak:
         assert verdict.outcome == BF_SOLUTION
         assert verdict.curves[2].approximate.any()
 
+    def test_a_tie_break_error_fails_gamma_only(self):
+        # x1^beta ties every beta at x1 = 1; one nudge away the sqrt fails,
+        # so Gamma fails while the structure corners and the envelope hold
+        g_text = f"x1^beta * x2 + gamma + {self.NUDGE_FAILS}"
+        problem = self.integer_x1_problem(g_text, "beta * x2 / x1", {"beta": (0.25, 0.5, 0.75), "gamma": (0, 1, 2)},
+                                          DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True))
+        error = "sqrt of negative value (in 'sqrt(cos(3.141592653589793 * x1)^2 - 1 + 1e-09)')"
+        verdict = verify(problem)
+        assert verdict.outcome == STRUCTURE_FAILS
+        assert verdict.report("structure").note == error
+        assert [c.name for c in verdict.checks] == ["structure", "fuzzy_validity", "boundary"]
+        envelope_curve(problem.g, problem.parameters, problem.box, problem.grid, "Y")
+        with pytest.raises(EvalDomainError) as raised:
+            gamma_curves(problem.g, problem.parameters, problem.box, problem.grid)
+        assert str(raised.value) == error
+
     def test_a_lattice_error_comes_before_the_tie_break(self):
         # at x1 = 2 the corners tie on the corner route; at the other samples
         # the lattice meets (b - 0.9)^2 < 1e-4 first, which fails Y and Gamma
@@ -1088,6 +1104,23 @@ class TestNonFinite:
             check_fuzzy_validity([curve])
         assert str(raised.value) == "non-finite fuzzy_validity residual = inf at (x1=1, x2=2, alpha=0)"
         assert raised.value.location == (1.0, 2.0, 0.0)
+
+    def test_nan_fuzzy_validity_residual_raises(self):
+        # the first NaN, in curve order, wins over every number: alone, and
+        # after a curve whose lower end exceeds its upper end by 5
+        x = np.array([1.0, 2.0])
+        lower, upper = np.zeros((2, 2, 3)), np.ones((2, 2, 3))
+        lower[1, 1, 0] = np.nan
+        curve = EnvelopeCurve("Y", x, x, np.linspace(0.0, 1.0, 3), lower, upper,
+                              np.zeros(lower.shape, dtype=bool), np.ones((2, 2), dtype=bool))
+        inverted = replace(curve, role="F", lower=upper + 5.0)
+        for curves in ([curve], [inverted, curve]):
+            with pytest.raises(NonFiniteValueError) as raised:
+                check_fuzzy_validity(curves)
+            assert str(raised.value) == "non-finite fuzzy_validity residual = nan at (x1=2, x2=2, alpha=0)"
+            assert raised.value.location == (2.0, 2.0, 0.0)
+        with pytest.raises(NonFiniteValueError, match="non-finite differentiability residual = nan"):
+            check_differentiability(curve)
 
 
 class TestDanskinGamma:

@@ -61,6 +61,15 @@ class TestParse:
             parse("x1 +* x2")
         assert err.value.position == 4
 
+    def test_stray_character_carries_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("x1 + $")
+        assert str(err.value) == "unexpected character '$' (at position 5)"
+        assert err.value.position == 5
+
+    def test_trailing_whitespace(self):
+        assert parse("x1 + x2   ") == Add(Var("x1"), Var("x2"))
+
     def test_undeclared_identifier(self):
         with pytest.raises(ParseError, match="undeclared identifier 'qq'"):
             parse("x1 + qq")
