@@ -26,15 +26,17 @@ of the cut box over its m live parameters, a leading array axis that every
 stage reads.  G and dG/dx2 are evaluated once over all corners, for the
 structure check and the envelope.  Three stages follow.
 
-Envelope: each live parameter's partial of G is probed once over the box
-center and the corners.  If no parameter shows strictly opposite signs, the
-extremum is attained at a corner and the envelope is the exact min/max of the
-corner values.  Otherwise the sample falls back to the extremes of G over a
-dense lattice and is flagged approximate.  The lattice spans only the live
-axes left uncertified: the first slice with fallback samples encloses each
-partial over the alpha = 0 cut box, which holds every cut, by interval
-arithmetic, and a parameter certified one-signed at every fallback sample of
-a slice is pinned at the cut end attaining each sample's min, and its max.
+Envelope: before the first slice, each partial of G is enclosed by interval
+arithmetic over the alpha = 0 cut box, which holds every cut, so a sign it
+certifies at a sample holds there in every slice.  A live parameter's partial
+is then probed over the box center and the corners, unless it is certified at
+every sample or free of the parameters.  If no parameter shows strictly
+opposite signs, the extremum is attained at a corner and the envelope is the
+exact min/max of the corner values.  Otherwise the sample falls back to the
+extremes of G over a dense lattice and is flagged approximate.  The lattice
+spans only the live axes left uncertified: a parameter certified one-signed
+at every fallback sample of a slice is pinned at the cut end attaining each
+sample's min, and its max.
 
 Point: each envelope end carries the parameter point that attains it: at a
 fallback sample, the first lattice point attaining it; on the corner route,
@@ -66,6 +68,7 @@ enumerate up to 2^k cut-box corners, so every envelope takes at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +157,8 @@ class DomainBox:
         ):
             if not lo < hi:
                 raise ValueError(f"{name} range is empty: [{lo}, {hi}]")
+            if not math.isfinite(lo) or not math.isfinite(hi):
+                raise ValueError(f"{name} range must be finite: [{lo}, {hi}]")
             if lo < 0.0 or (lo == 0.0 and not lo_open):
                 raise ValueError(f"{name} lower bound must be positive (got {lo})")
         if self.constraint is not None:
@@ -187,6 +192,8 @@ class Tolerances:
         for name, v in (("eq_tol", self.eq_tol), ("mono_tol", self.mono_tol), ("denom_tol", self.denom_tol)):
             if not v > 0.0:
                 raise ValueError(f"{name} must be positive, got {v}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -417,17 +424,16 @@ def _corner_values(exprs, names, points: np.ndarray, base: dict, shape) -> list[
 
 def _sign_fallback(partials, names, corners: np.ndarray, base: dict, shape) -> np.ndarray:
     """Samples whose extremum may lie inside the box: some live parameter's
-    partial takes strictly opposite signs across the box center and the
-    :func:`_corner_points` ``corners``, whose first and last columns are the cut ends."""
+    partial (in ``partials``, None where its sign needs no probe) takes strictly
+    opposite signs across the box center and the :func:`_corner_points`
+    ``corners``, whose first and last columns are the cut ends."""
     los, his = corners[:, 0], corners[:, -1]
-    live = np.flatnonzero(los < his)
+    live = los < his
     probes = np.hstack([corners[:, :1], corners])  # the box center, then the corners
     probes[live, 0] = 0.5 * los[live] + 0.5 * his[live]
     fallback = np.zeros(shape, dtype=bool)
-    for j in live:
-        if not free_variables(partials[j]) & set(names):
-            continue  # a partial that takes one value at every probe
-        (d,) = _corner_values((partials[j],), names, probes, base, shape)
+    for partial in (d for d, on in zip(partials, live) if on and d is not None):
+        (d,) = _corner_values((partial,), names, probes, base, shape)
         fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
 
@@ -436,7 +442,8 @@ def _certified_signs(partials, params: FuzzyVector, X1, X2, shape) -> np.ndarray
     """Each partial's sign at every sample, certified by interval arithmetic on the alpha = 0 cut box: +1, -1 or 0."""
     los, his = _cut_arrays(params, 0.0)
     box = dict({"x1": (X1, X1), "x2": (X2, X2)}, **{name: (lo, hi) for name, lo, hi in zip(params.names, los, his)})
-    ends = [interval_eval(d, box) if lo < hi else (0.0, 0.0) for d, lo, hi in zip(partials, los, his)]
+    ends = [interval_eval(d, box) if lo < hi and free_variables(d) <= box.keys() else (0.0, 0.0)
+            for d, lo, hi in zip(partials, los, his)]  # 0 for an unbound name: it raises where evaluated
     return np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
 
 
@@ -513,24 +520,22 @@ def _grid_samples(box: DomainBox, grid: GridSpec):
     return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
 
 
-def _envelope_stage(expr, params: FuzzyVector, partials, corners, values, base: dict, x1p, x2p, signs):
+def _envelope_stage(expr, names, probed, signs, corners, values, base: dict, x1p, x2p):
     """One slice's envelope of ``expr``: the min and max of its corner ``values``
-    (evaluated here when None), or of the dense lattice at the samples whose
-    sign probes fall back.  Returns both ends, the fallback mask, the lattice
-    points attaining the ends there (None if no sample falls back) and the
-    partials' certified ``signs``, computed at the first slice that falls back."""
-    names, shape = params.names, (x1p.size, x2p.size)
-    fb = _sign_fallback(partials, names, corners, base, shape)
+    (evaluated here when None), or, at the samples where a sign probe of the
+    ``probed`` partials falls back, of the dense lattice that the partials'
+    certified ``signs`` pin.  Returns both ends, the fallback mask and the
+    lattice points attaining the ends there (None if no sample falls back)."""
+    shape = (x1p.size, x2p.size)
+    fb = _sign_fallback(probed, names, corners, base, shape)
     if values is None:
         (values,) = _corner_values((expr,), names, corners, base, shape)
     lower, upper, optima = values.min(axis=0), values.max(axis=0), None
     if fb.any():
         i1, i2 = np.nonzero(fb)
-        if signs is None:  # certified once per pass, on the alpha = 0 box that holds every cut
-            signs = _certified_signs(partials, params, base["x1"], base["x2"], shape)
         table, allowed = _box_lattice(corners[:, 0], corners[:, -1], FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
         lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
-    return lower, upper, fb, optima, signs
+    return lower, upper, fb, optima
 
 
 def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p) -> list[np.ndarray]:
@@ -610,6 +615,9 @@ def _alpha_pass(
         raise ValueError("no grid samples satisfy the domain constraint")
     shape, base = (x1p.size, x2p.size), {"x1": x1p[:, None], "x2": x2p[None, :]}
     partials = [differentiate(expr, name) for name in names]
+    # a sign certified on the alpha = 0 box, which holds every cut, needs no probe in any slice
+    signs = _certified_signs(partials, params, base["x1"], base["x2"], shape)
+    probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
     parts = ("envelope", "gamma") if candidate else ("envelope",)
     # alpha-major buffers: every slice lands in one contiguous block
     planes = (alphas.size,) + shape
@@ -617,7 +625,7 @@ def _alpha_pass(
     if candidate:
         x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
         gam = np.empty(planes), np.empty(planes)
-    result, slots, signs = _AlphaPass(), [], None
+    result, slots = _AlphaPass(), []
     what = label or f"{role} envelope"
     for ki, alpha in enumerate(alphas.tolist()):
         corners, values = _corner_points(*_cut_arrays(params, alpha)), None
@@ -635,8 +643,7 @@ def _alpha_pass(
         if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
         try:
-            lower, upper, fb, optima, signs = _envelope_stage(expr, params, partials, corners, values, base, x1p,
-                                                              x2p, signs)
+            lower, upper, fb, optima = _envelope_stage(expr, names, probed, signs, corners, values, base, x1p, x2p)
         except EvalError as err:
             result.fail(parts, err)
             continue

@@ -6,6 +6,7 @@ shared by every problem, curve and check that refers to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -33,6 +34,8 @@ class TriangularFuzzyNumber:
                 f"invalid triangle: need left <= peak <= right, got "
                 f"({self.left}, {self.peak}, {self.right})"
             )
+        if not (math.isfinite(self.left) and math.isfinite(self.right)):
+            raise ValueError(f"invalid triangle: ends must be finite, got ({self.left}, {self.peak}, {self.right})")
 
     def lower(self, alpha: float) -> float:
         """b1(alpha); exact peak at alpha == 1, exact left at alpha == 0."""

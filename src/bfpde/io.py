@@ -187,12 +187,22 @@ def _load_settings(cls, obj, pointer):
         raise ProblemFormatError(pointer, str(err)) from err
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members; a key that appears twice is an error, not a silent override."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemFormatError("", f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_problem(path) -> ProblemSpec:
     """Load and validate a problem file; defaults are applied and recorded."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ProblemFormatError("", f"invalid JSON: {err.msg} (line {err.lineno}, column {err.colno})") from err
 

@@ -65,6 +65,12 @@ class TestCheck:
         assert data["tolerances"]["mono_tol"] == 1e-6
         assert data["tolerances"]["denom_tol"] == 1e-10
 
+    def test_infinite_tol_override_exits_two(self, capsys):
+        # an infinite tolerance would pass any residual: wrong_F would read BF_SOLUTION
+        code = run(["check", str(PROBLEMS / "wrong_F.json"), "--tol", "inf"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: eq_tol must be finite, got inf\n"
+
     def test_invalid_grid_override_exits_two(self, capsys):
         code = run(["check", str(PROBLEMS / "crisp_example.json"), "--grid-x1", "1"])
         err = capsys.readouterr().err

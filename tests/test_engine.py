@@ -45,7 +45,7 @@ from bfpde.expr import EvalDomainError, EvalError, differentiate, evaluate, pars
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
 from bfpde.io import load_problem, report_to_dict
 
-from randexpr import random_monotone_instance
+from randexpr import random_monotone_instance, random_smooth_expression, random_triangle
 
 P = ("beta", "gamma")
 
@@ -604,6 +604,13 @@ class TestVerify:
         assert counts[6] - counts[3] <= 3 * 6
         assert counts[6] <= 6 * (1 + 1 + 1 + 4 + 1 + 6)
 
+    def test_many_params_probes_no_partial_of_g(self, monkeypatch):
+        # the benchmark's many-params size: every partial of G is certified at
+        # every sample, so G's 2^6 corners are evaluated but never the 1 + 2^6 probes
+        problem = replace(self.many_params_problem(6), grid=GridSpec(41, 41, 21))
+        calls = self._count_evaluations(monkeypatch, problem)
+        assert (64, 41, 41) in calls and (65, 41, 41) not in calls
+
     def test_coinciding_corners_and_fallback_samples_take_no_tie_break(self, monkeypatch):
         # the tie-break evaluates G over all 2^k corners at the (q,) tied
         # samples; corners that coincide (a crisp parameter, every alpha = 1
@@ -919,6 +926,9 @@ class TestProbeAxis:
         x1p, x2p, alphas = bfpde.engine.grid_axes(box, grid)
         base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
         partials = [differentiate(g, name) for name in names]
+        # as the pass does, leave out each partial certified at every sample
+        signs = bfpde.engine._certified_signs(partials, params, base["x1"], base["x2"], shape)
+        probed = [None if s.all() else d for d, s in zip(partials, signs)]
         fallbacks = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
@@ -927,8 +937,10 @@ class TestProbeAxis:
             for values, expr in zip(got, exprs):
                 want = self.per_corner_values(expr, names, los, his, base, shape)
                 assert np.ascontiguousarray(values).tobytes() == want.tobytes()
-            fallback = bfpde.engine._sign_fallback(partials, names, corners, base, shape)
-            assert np.array_equal(fallback, self.per_probe_fallback(g, names, los, his, base, shape))
+            want = self.per_probe_fallback(g, names, los, his, base, shape)
+            for table in (partials, probed):
+                fallback = bfpde.engine._sign_fallback(table, names, corners, base, shape)
+                assert np.array_equal(fallback, want)
             fallbacks += int(fallback.sum())
         return fallbacks
 
@@ -948,6 +960,76 @@ class TestProbeAxis:
             self.assert_matches(cond.target, (cond.target,), problem.parameters, problem.box, problem.grid)
         # not_differentiable.json sends samples to the fallback, so the mask is not all False
         assert (name == "not_differentiable") == bool(fallbacks)
+
+
+class TestSignCertificate:
+    """A partial's sign that interval arithmetic certifies on the alpha = 0
+    cut box holds, strictly, at every sign probe of every slice, so the pass
+    leaves the partials certified at every sample unprobed: its fallback mask
+    must be the one that probing every partial gives."""
+
+    def assert_sound(self, monkeypatch, expr, params, box, grid) -> tuple[int, int]:
+        """Check every slice; returns the certified (partial, sample) pairs and
+        the partial-slices the pass left unprobed."""
+        names = params.names
+        x1p, x2p, alphas, feas = bfpde.engine._grid_samples(box, grid)
+        base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
+        partials = [differentiate(expr, name) for name in names]
+        signs = bfpde.engine._certified_signs(partials, params, base["x1"], base["x2"], shape)
+        for alpha in alphas:
+            los, his = bfpde.engine._cut_arrays(params, float(alpha))
+            center = dict(base, **{name: 0.5 * lo + 0.5 * hi for name, lo, hi in zip(names, los, his)})
+            for binding in (center, *TestProbeAxis.corner_bindings(names, los, his, base)):
+                for d, sign in zip(partials, signs):
+                    v = np.broadcast_to(evaluate(d, binding), shape)
+                    assert ((v > 0.0) | (sign <= 0)).all() and ((v < 0.0) | (sign >= 0)).all()
+        skipped = []
+        original = bfpde.engine._sign_fallback
+
+        def against_every_partial(probed, *args):
+            los, his = args[1][:, 0], args[1][:, -1]
+            skipped.append(sum(d is None and lo < hi for d, lo, hi in zip(probed, los, his)))
+            fallback = original(probed, *args)
+            assert np.array_equal(fallback, original(partials, *args))
+            return fallback
+
+        monkeypatch.setattr(bfpde.engine, "_sign_fallback", against_every_partial)
+        bfpde.engine._alpha_pass(expr, params, x1p, x2p, alphas, feas)
+        monkeypatch.undo()
+        return int(np.count_nonzero(signs)), sum(skipped)
+
+    def test_random_smooth_expressions(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        box, certified, skipped = DomainBox(1.0, 2.5, 1.0, 2.5), 0, 0
+        for _ in range(400):
+            expr, _ = random_smooth_expression(rng)
+            params = FuzzyVector((("beta", random_triangle(rng, 0.3, 0.3)), ("gamma", random_triangle(rng, 0.5, 0.5))))
+            c, k = self.assert_sound(monkeypatch, expr, params, box, GridSpec(6, 5, 4))
+            certified, skipped = certified + c, skipped + k
+        assert certified > 5_000 and skipped > 1_000
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_shipped_problems(self, monkeypatch, path):
+        problem = load_problem(path)
+        for expr in (problem.g, problem.f, *(cond.target for cond in problem.boundary)):
+            self.assert_sound(monkeypatch, expr, problem.parameters, problem.box, problem.grid)
+
+    def test_the_probe_centres_an_unprobed_parameter_too(self, monkeypatch):
+        # the b-partial is negative at the box center only where c is below
+        # its cut's middle; c's partial is certified, so c is not probed
+        params = FuzzyVector((("b", TriangularFuzzyNumber(0.7, 1.0, 1.3)), ("c", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
+        g = parse("x2 + (b - 1)^3 / 3 - 0.01*b + 0.006*b*exp(c)", params.names)
+        _, skipped = self.assert_sound(monkeypatch, g, params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3))
+        assert skipped == 2
+
+    def test_a_name_the_box_lacks_stays_uncertified(self):
+        # the certificate leaves such a partial to the slice, where evaluating
+        # it fails the structure report instead of raising
+        params = FuzzyVector((("a", TriangularFuzzyNumber(0.5, 1.0, 1.5)),))
+        g = parse("x2*(a + sin(z) + 2)", ("a", "z"))
+        report = check_structure(g, params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 2))
+        assert not report.passed and report.note == "unbound variable 'z' (in 'z')"
 
 
 class TestNonFinite:
@@ -1320,7 +1402,9 @@ class TestPinnedLattice:
             widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
             assert full not in widths and 2 * 33 in widths
 
-    def test_interval_work_only_where_a_slice_falls_back(self, monkeypatch):
+    def test_interval_work_once_per_pass_and_live_parameter(self, monkeypatch):
+        # before the first slice of each pass: G, F, then the candidate and the
+        # target on each boundary edge; never per slice
         calls = []
         original = bfpde.engine.interval_eval
 
@@ -1330,13 +1414,15 @@ class TestPinnedLattice:
 
         monkeypatch.setattr(bfpde.engine, "interval_eval", counting)
         boundary = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
-        for problem in (TestVerify.many_params_problem(6), boundary):
+        crisp_gamma = replace(boundary, parameters=FuzzyVector((("beta", TriangularFuzzyNumber(0.25, 0.5, 0.75)),
+                                                                ("gamma", TriangularFuzzyNumber(1.0, 1.0, 1.0)))))
+        for problem in (TestVerify.many_params_problem(6), boundary, crisp_gamma, self.non_monotone(1)):
+            calls.clear()
             assert verify(problem).outcome == BF_SOLUTION
-        assert calls == []
-        # once per pass (G, then F) and live parameter
-        problem = self.non_monotone(1)
-        assert verify(problem).outcome == BF_SOLUTION
-        assert calls == [differentiate(e, name) for e in (problem.g, problem.f) for name in ("b", "c")]
+            passes = [problem.g, problem.f, *(e for cond in problem.boundary for e in (problem.g, cond.target))]
+            params = problem.parameters
+            live = [name for name, t in zip(params.names, params.numbers) if t.left < t.right]
+            assert calls == [differentiate(e, name) for e in passes for name in live]
 
     def test_a_partial_signed_at_every_probe_but_not_between_stays_a_lattice_axis(self, monkeypatch):
         problem = self.cos_guard()

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -137,6 +138,32 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError) as err:
             load_problem(write_problem(tmp_path, obj))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"domain": {"x1": [1, math.inf], "x2": [0, 5, "open", "closed"]}},
+         "/domain: x1 range must be finite: [1.0, inf]"),
+        ({"parameters": {"beta": [0.25, 0.5, math.inf], "gamma": [0, 1, 2]}},
+         "/parameters/beta: parameter 'beta': invalid triangle: ends must be finite, got (0.25, 0.5, inf)"),
+        ({"tolerances": {"eq_tol": math.inf}}, "/tolerances: eq_tol must be finite, got inf"),
+    ], ids=["domain", "triangle", "tolerance"])
+    def test_non_finite_numbers_rejected(self, tmp_path, overrides, message):
+        # json.dumps writes inf as Infinity, which json.loads reads back
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(write_problem(tmp_path, minimal_problem(**overrides)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("members, key", [
+        ('"parameters": {"beta": [0.25, 0.5, 0.75], "gamma": [0, 1, 2], "beta": [0.5, 0.5, 0.5]}', "beta"),
+        ('"parameters": {"beta": [0.25, 0.5, 0.75], "gamma": [0, 1, 2]}, "F": "x2 / x1"', "F"),
+    ], ids=["parameter", "F"])
+    def test_duplicate_keys_rejected(self, tmp_path, members, key):
+        # without the check the last value wins: a crisp beta, or a second F
+        path = tmp_path / "problem.json"
+        path.write_text('{"G": "x1^beta * x2 + gamma", "F": "beta * x2 / x1", '
+                        f'"domain": {{"x1": [1, 5], "x2": [0, 5, "open", "closed"]}}, {members}}}', encoding="utf-8")
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(path)
+        assert str(err.value) == f"/: duplicate key {key!r} in a JSON object"
 
     def test_constraint_parsed(self, tmp_path):
         obj = minimal_problem(domain={"x1": [1, 5], "x2": [0, 5, "open", "closed"],
