@@ -53,10 +53,12 @@ Checks that consume approximate samples run at a widened tolerance
 (``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
 as the lattice spacing.  A NaN or infinite corner value, envelope or Gamma
 value at a feasible sample, and a domain error of G or dG/dx2 at a cut-box
-corner, are structure evidence, never passed on to the checks.  The four
-curve checks end in one gate that turns their worst residual into the report,
-so an overflowing residual (finite values too far apart to subtract) is
-structure evidence with its location in each.
+corner, are structure evidence, never passed on to the checks.  Every check,
+structure included, reports its first worst violation, a NaN beating any
+number (:func:`_first_worst`).  The four curve checks end in one gate that
+turns their parts' worst residuals into the report, so a NaN or overflowing
+residual (finite values too far apart to subtract) is structure evidence with
+its location in each.
 
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
@@ -748,10 +750,28 @@ def _endpoint_residual(lo, hi, ref_lo, ref_hi) -> np.ndarray:
     return np.maximum(np.abs(lo - ref_lo) / (1.0 + np.abs(ref_lo)), np.abs(hi - ref_hi) / (1.0 + np.abs(ref_hi)))
 
 
-def _gate(name: str, worst: float, loc, tol: float, widened: bool, fail_note: str = "") -> CheckReport:
-    """A check's report from its worst residual: pass within ``tol``, widened to
+def _first_worst(results):
+    """The first of the ``(value, ...)`` results whose value is worst: a NaN
+    beats any number and a larger number a smaller one; a None value never
+    wins.  None if no result has a value."""
+    best = None
+    for result in results:
+        v = result[0]
+        if v is not None and (best is None or v > best[0] or (v != v and best[0] == best[0])):
+            best = result
+    return best
+
+
+def _gate(name: str, results, tol: float, widened: bool) -> CheckReport:
+    """A check's report from its parts' ``(residual, location, fail_note)``:
+    the first worst (:func:`_first_worst`) passes within ``tol``, widened to
     ``FALLBACK_TOL`` when the check consumed dense-fallback samples; a NaN or
-    infinite residual raises :class:`NonFiniteValueError` at ``loc``."""
+    infinite one raises :class:`NonFiniteValueError` at its location, and no
+    residual at all passes with "no feasible samples"."""
+    first = _first_worst(results)
+    if first is None:
+        return CheckReport(name, True, 0.0, None, "no feasible samples")
+    worst, loc, fail_note = first
     if not np.isfinite(worst):
         raise NonFiniteValueError(f"{name} residual", *loc, worst)
     tol_eff = max(tol, FALLBACK_TOL) if widened else tol
@@ -776,38 +796,28 @@ def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
 
 
 def _structure_report(slots, x1p, x2p, denom_tol: float, error: Exception | None) -> CheckReport:
-    """Fold the per-slice ``(alpha, extrema)`` into the structure report; a
-    non-finite or domain-failing corner value (``error``) fails it."""
-    g_min, g_loc = np.inf, None
-    d_min, d_min_loc = np.inf, None
-    d_max, d_max_loc = -np.inf, None
-    for alpha, ((gm, gp), (dm, dmp), (dx, dxp)) in slots:
-        if gm < g_min:
-            g_min, g_loc = gm, (float(x1p[gp[0]]), float(x2p[gp[1]]), alpha)
-        if dm < d_min:
-            d_min, d_min_loc = dm, (float(x1p[dmp[0]]), float(x2p[dmp[1]]), alpha)
-        if dx > d_max:
-            d_max, d_max_loc = dx, (float(x1p[dxp[0]]), float(x2p[dxp[1]]), alpha)
+    """Fold the per-slice ``(alpha, extrema)`` into the structure report: the
+    first worst (:func:`_first_worst`) of the positivity and the sign
+    violation, each itself the first worst over the slices.  A non-finite or
+    domain-failing corner value (``error``) fails it."""
 
-    pos_violation = -g_min  # > 0 (or == 0) iff G fails strict positivity
-    pos_ok = g_min > 0.0
-    # one global sign: the better hypothesis decides the slack
-    if d_min >= -d_max:  # positive sign fits better
-        sign_violation = denom_tol - d_min
-        sign_loc = d_min_loc
-    else:
-        sign_violation = denom_tol + d_max
-        sign_loc = d_max_loc
+    def fold(k: int, sign: float):
+        # sign * the k-th extremum (negating a minimum is exact); a slice with
+        # no feasible finite corner scanned to +-inf and never wins
+        return _first_worst((sign * v if math.isfinite(v) else None, (float(x1p[i1]), float(x2p[i2]), alpha))
+                            for alpha, extrema in slots for v, (i1, i2) in [extrema[k]]) or (-np.inf, None)
+
+    # pos_violation >= 0 iff G fails strict positivity
+    (pos_violation, g_loc), (neg_d_min, d_min_loc), (d_max, d_max_loc) = fold(0, -1.0), fold(1, -1.0), fold(2, 1.0)
+    pos_ok = pos_violation < 0.0
+    # one global sign: the better hypothesis decides the slack, the positive one on a tie
+    positive = neg_d_min <= d_max
+    sign_violation, sign_loc = (denom_tol + neg_d_min, d_min_loc) if positive else (denom_tol + d_max, d_max_loc)
     sign_ok = sign_violation <= 0.0
-
-    if not pos_ok and (pos_violation >= sign_violation or sign_ok):
-        worst, loc, note = pos_violation, g_loc, "G is not strictly positive on the grid"
-    elif not sign_ok:
-        worst, loc, note = sign_violation, sign_loc, "dG/dx2 is not one-signed and bounded away from zero"
-    else:
-        worst = max(pos_violation, sign_violation)
-        loc = g_loc if pos_violation >= sign_violation else sign_loc
-        note = ""
+    worst, loc, note = _first_worst((
+        (pos_violation, g_loc, "" if pos_ok else "G is not strictly positive on the grid"),
+        (sign_violation, sign_loc, "" if sign_ok else "dG/dx2 is not one-signed and bounded away from zero"),
+    ))
     report = CheckReport("structure", pos_ok and sign_ok, worst, loc, note)
     return _structure_evidence(report, [] if error is None else [error])
 
@@ -839,15 +849,9 @@ def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
     """Every envelope must satisfy lower <= upper at every feasible sample (a
     NaN or overflowing lower - upper raises :class:`NonFiniteValueError`, the
     first NaN in curve order first).  Each curve is read one plane at a time."""
-    worst, loc, role = -np.inf, None, None
-    for curve in curves:
-        planes = map(np.subtract, *_alpha_planes(curve.lower, curve.upper))
-        v, l = _masked_worst(planes, curve.feasible, (curve.x1, curve.x2, curve.alpha))
-        if v is not None and (v > worst or np.isnan(v) > np.isnan(worst)):
-            worst, loc, role = v, l, curve.role
-    if loc is None:
-        return CheckReport("fuzzy_validity", True, 0.0, None, "no feasible samples")
-    return _gate("fuzzy_validity", worst, loc, 0.0, False, f"lower exceeds upper in the {role} envelope")
+    results = [(*_masked_worst(map(np.subtract, *_alpha_planes(c.lower, c.upper)), c.feasible, (c.x1, c.x2, c.alpha)),
+                f"lower exceeds upper in the {c.role} envelope") for c in curves]
+    return _gate("fuzzy_validity", results, 0.0, False)
 
 
 @_masked_out_invalid
@@ -859,24 +863,21 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     3. Gamma_1 <= Gamma_2 at alpha = 1,
 
     each within ``tol`` slack at every feasible (x1, x2) (an overflowing
-    difference raises :class:`NonFiniteValueError`).  Each condition reads
-    two alpha planes at a time.
+    difference, or a NaN, raises :class:`NonFiniteValueError`).  Each
+    condition reads two alpha planes at a time.
     """
     lo, hi = _alpha_planes(gamma.lower, gamma.upper)
     axes = (gamma.x1, gamma.x2, gamma.alpha[1:])
-    # condition 1: drops of Gamma_1 across successive alpha samples
-    v1, l1 = _masked_worst((-(b - a) for a, b in zip(lo, lo[1:])), gamma.feasible, axes)
-    # condition 2: rises of Gamma_2
-    v2, l2 = _masked_worst(map(np.subtract, hi[1:], hi), gamma.feasible, axes)
-    # condition 3 at the core cut
-    v3, l3 = _masked_worst([lo[-1] - hi[-1]], gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha[-1:]))
-
-    candidates = [(v, l, i + 1) for i, (v, l) in enumerate(((v1, l1), (v2, l2), (v3, l3))) if v is not None]
-    if not candidates:
-        return CheckReport("differentiability", True, 0.0, None, "no feasible samples")
-    worst, loc, cond = max(candidates, key=lambda t: t[0])
-    widened = _any_feasible(gamma.approximate, gamma.feasible)
-    return _gate("differentiability", worst, loc, tol, widened, f"condition {cond} violated")
+    conditions = (
+        # 1: drops of Gamma_1 across successive alpha samples
+        _masked_worst((-(b - a) for a, b in zip(lo, lo[1:])), gamma.feasible, axes),
+        # 2: rises of Gamma_2
+        _masked_worst(map(np.subtract, hi[1:], hi), gamma.feasible, axes),
+        # 3: at the core cut
+        _masked_worst([lo[-1] - hi[-1]], gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha[-1:])),
+    )
+    results = [(v, loc, f"condition {i} violated") for i, (v, loc) in enumerate(conditions, 1)]
+    return _gate("differentiability", results, tol, _any_feasible(gamma.approximate, gamma.feasible))
 
 
 @_masked_out_invalid
@@ -885,11 +886,9 @@ def check_equality(gamma: EnvelopeCurve, f_curve: EnvelopeCurve, tol: float = DE
     (an overflowing residual raises :class:`NonFiniteValueError`).  The
     residual is formed one alpha plane at a time."""
     planes = map(_endpoint_residual, *_alpha_planes(gamma.lower, gamma.upper, f_curve.lower, f_curve.upper))
-    worst, loc = _masked_worst(planes, gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha))
-    if worst is None:
-        return CheckReport("equality", True, 0.0, None, "no feasible samples")
     widened = _any_feasible(gamma.approximate, gamma.feasible) or _any_feasible(f_curve.approximate, gamma.feasible)
-    return _gate("equality", worst, loc, tol, widened)
+    results = [(*_masked_worst(planes, gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha)), "")]
+    return _gate("equality", results, tol, widened)
 
 
 @_masked_out_invalid
@@ -910,8 +909,7 @@ def check_boundary(
         return CheckReport("boundary", True, 0.0, None, "no conditions")
 
     x1p, x2p, alphas = grid_axes(box, grid)
-    worst, loc = -np.inf, None
-    any_fb = False
+    results, any_fb = [], False
     for cond in conditions:
         # the edge is the grid with one point on the fixed axis
         at = np.array([cond.at], dtype=float)
@@ -926,14 +924,13 @@ def check_boundary(
         # alpha, then the lowest edge position
         resid = _endpoint_residual(*_alpha_planes(c.lower, c.upper, t.lower, t.upper))
         v, (at_alpha, at_x1, at_x2) = _masked_worst([resid], np.broadcast_to(feas, resid.shape), (alphas, e1, e2))
-        if v > worst:
-            worst, loc = v, (at_x1, at_x2, at_alpha)
-        if not np.isfinite(worst):
+        results.append((v, (at_x1, at_x2, at_alpha), ""))
+        if not np.isfinite(v):
             break  # the gate fails on the first condition whose residual overflows
 
-    if loc is None:
+    if not results:
         return CheckReport("boundary", True, 0.0, None, "no feasible boundary samples")
-    return _gate("boundary", worst, loc, tol, any_fb)
+    return _gate("boundary", results, tol, any_fb)
 
 
 # --- verdict -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from bfpde.engine import (
     NOT_DIFFERENTIABLE,
     STRUCTURE_FAILS,
     BoundaryCondition,
+    CheckReport,
     DomainBox,
     EnvelopeCurve,
     GridSpec,
@@ -144,6 +145,19 @@ class TestGridSampling:
     def test_problem_rejects_target_using_fixed_variable(self):
         with pytest.raises(ValueError, match="target may only use"):
             worked_problem(boundary=[BoundaryCondition("x2", 0.0, parse("x2", P), "x2")])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DomainBox(1.0, 5.0, 1.0, 5.0, constraint=parse("x1 - beta", P)),
+         "constraint may only use x1, x2; found ['beta']"),
+        (lambda: GridSpec(epsilon_edge=0.5), "epsilon_edge must lie in (0, 0.5), got 0.5"),
+        (lambda: BoundaryCondition("x3", 0.0, parse("gamma", P), "gamma"), "fix must be 'x1' or 'x2', got 'x3'"),
+        (lambda: replace(worked_problem(), g=parse("x1^beta * x2 + delta", P + ("delta",))),
+         "G uses undeclared names ['delta']"),
+    ], ids=["constraint-parameter", "epsilon-edge", "fix", "undeclared-name"])
+    def test_invalid_inputs_rejected_with_message(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestEnvelope:
@@ -304,6 +318,17 @@ class TestChecks:
         assert not report.passed
         assert "condition 3" in report.note
         assert report.worst_violation == pytest.approx(0.2)
+
+    def test_no_feasible_sample_passes_every_curve_check(self):
+        # the values, NaN throughout, are never read
+        x = np.array([1.0, 2.0])
+        nan = np.full((2, 2, 3), np.nan)
+        curve = EnvelopeCurve(ROLE_GAMMA, x, x, np.linspace(0.0, 1.0, 3), nan, nan,
+                              np.ones(nan.shape, dtype=bool), np.zeros((2, 2), dtype=bool))
+        for name, report in (("fuzzy_validity", check_fuzzy_validity([curve, curve])),
+                             ("differentiability", check_differentiability(curve)),
+                             ("equality", check_equality(curve, curve))):
+            assert report == CheckReport(name, True, 0.0, None, "no feasible samples")
 
     def test_equality_zero_residual_on_worked_example(self):
         problem = worked_problem()
@@ -1203,6 +1228,63 @@ class TestNonFinite:
             assert raised.value.location == (2.0, 2.0, 0.0)
         with pytest.raises(NonFiniteValueError, match="non-finite differentiability residual = nan"):
             check_differentiability(curve)
+
+    @staticmethod
+    def unit_gamma():
+        # lower = 0 and upper = 1 on a 2x2x3 grid: every condition holds
+        x = np.array([1.0, 2.0])
+        lower = np.zeros((2, 2, 3))
+        return EnvelopeCurve(ROLE_GAMMA, x, x, np.linspace(0.0, 1.0, 3), lower, lower + 1.0,
+                             np.zeros(lower.shape, dtype=bool), np.ones((2, 2), dtype=bool))
+
+    def test_nan_in_differentiability_condition_two_or_three_raises(self):
+        # a NaN upper end at the core cut makes conditions 2 and 3 NaN there; it
+        # beats condition 1, whether that holds (-0.0) or a planted drop of 0.5
+        # at (1, 1, 0.5) fails it
+        gamma = self.unit_gamma()
+        gamma.upper[1, 1, 2] = np.nan
+        dropped = replace(gamma, lower=gamma.lower.copy())
+        dropped.lower[0, 0, 1] = -0.5
+        for curve in (gamma, dropped):
+            with pytest.raises(NonFiniteValueError) as raised:
+                check_differentiability(curve)
+            assert str(raised.value) == "non-finite differentiability residual = nan at (x1=2, x2=2, alpha=1)"
+        with pytest.raises(NonFiniteValueError) as raised:
+            check_equality(gamma, replace(self.unit_gamma(), role="F"))
+        assert str(raised.value) == "non-finite equality residual = nan at (x1=2, x2=2, alpha=1)"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_nan_raises_at_its_sample_in_every_curve_check(self, seed):
+        # one NaN end in any input curve of any curve check raises at its
+        # (x1, x2) when the sample is feasible, and is ignored when it is not
+        rng = np.random.default_rng(seed)
+        n1, n2, na = (int(n) for n in rng.integers(2, 6, size=3))
+        feasible = (rng.permutation(n1 * n2) < rng.integers(1, n1 * n2)).reshape(n1, n2)  # both kinds occur
+        axes = np.linspace(1.0, 2.0, n1), np.linspace(3.0, 4.0, n2), np.linspace(0.0, 1.0, na)
+
+        def curve(role):
+            lower = rng.normal(size=(n1, n2, na))
+            return EnvelopeCurve(role, *axes, lower, lower + rng.random((n1, n2, na)),
+                                 np.zeros((n1, n2, na), dtype=bool), feasible)
+
+        checks = (
+            (lambda y, f: check_fuzzy_validity([y, f]), ("Y", "F")),
+            (check_differentiability, (ROLE_GAMMA,)),
+            (check_equality, (ROLE_GAMMA, "F")),
+        )
+        for check, roles in checks:
+            for at_feasible in (True, False):
+                curves = [curve(role) for role in roles]
+                i1, i2 = rng.choice(np.argwhere(feasible == at_feasible))
+                end = getattr(curves[rng.integers(len(curves))], str(rng.choice(["lower", "upper"])))
+                end[i1, i2, rng.integers(na)] = np.nan
+                if not at_feasible:
+                    assert math.isfinite(check(*curves).worst_violation)
+                    continue
+                with pytest.raises(NonFiniteValueError) as raised:
+                    check(*curves)
+                assert math.isnan(raised.value.value)
+                assert raised.value.location[:2] == (axes[0][i1], axes[1][i2])
 
 
 class TestDanskinGamma:

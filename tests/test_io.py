@@ -1,12 +1,14 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bfpde.engine import GridSpec, Tolerances, compute_curves, gamma_curves, verify
+from bfpde.expr import parse
 from bfpde.io import (
     ProblemFormatError,
     emit_curves,
@@ -165,6 +167,21 @@ class TestLoadProblem:
             load_problem(path)
         assert str(err.value) == f"/: duplicate key {key!r} in a JSON object"
 
+    @pytest.mark.parametrize("overrides, pointer, message", [
+        ({"parameters": {}}, "/parameters", "at least one fuzzy parameter is required"),
+        ({"parameters": {"2beta": [0, 1, 2]}}, "/parameters/2beta", "invalid parameter name '2beta'"),
+        ({"parameters": {"beta": [0.25, 0.75]}}, "/parameters/beta", "expected 3 entries, got 2"),
+        ({"domain": {"x1": [1, 5, "open"], "x2": [0, 5, "open", "closed"]}}, "/domain/x1",
+         "expected 2 or 4 entries, got 3"),
+        ({"domain": {"x2": [0, 5, "open", "closed"]}}, "/domain", "missing required key 'x1'"),
+        ({"boundary": [{"fix": "x2", "at": 0}]}, "/boundary/0", "missing required key 'target'"),
+    ], ids=["no-parameters", "parameter-name", "triangle-entries", "axis-entries", "domain-x1", "boundary-target"])
+    def test_invalid_entries_report_pointer_and_message(self, tmp_path, overrides, pointer, message):
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(write_problem(tmp_path, minimal_problem(**overrides)))
+        assert err.value.pointer == pointer
+        assert str(err.value) == f"{pointer}: {message}"
+
     def test_constraint_parsed(self, tmp_path):
         obj = minimal_problem(domain={"x1": [1, 5], "x2": [0, 5, "open", "closed"],
                                       "constraint": "x1 - x2"})
@@ -178,14 +195,15 @@ class TestLoadProblem:
             load_problem(write_problem(tmp_path, obj))
 
     def test_load_save_load_round_trip(self, tmp_path):
-        source = load_problem(PROBLEMS / "boundary_example.json")
+        shipped = load_problem(PROBLEMS / "boundary_example.json")
+        source = replace(shipped, box=replace(shipped.box, constraint=parse("x1 - x2")))
         echoed = tmp_path / "echo.json"
         save_problem(source, echoed)
         again = load_problem(echoed)
         assert problem_to_dict(again) == problem_to_dict(source)
         assert again.g == source.g and again.f == source.f
         assert again.parameters == source.parameters
-        assert again.box == source.box
+        assert again.box == source.box and problem_to_dict(again)["domain"]["constraint"] == "x1 - x2"
         assert again.grid == source.grid and again.tolerances == source.tolerances
         assert [c.fix for c in again.boundary] == [c.fix for c in source.boundary]
 

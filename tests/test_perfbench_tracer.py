@@ -42,3 +42,23 @@ def test_install_wraps_and_uninstall_restores(tracing, capsys):
     assert all(getattr(module, attr) is original for (module, attr), original in zip(names, originals))
     assert {"io.load_problem", "engine.verify"} <= {span["name"] for span in tracer.spans}
     assert tracer.counts["expr.evaluate_calls"] > 0
+
+
+def test_traced_check_opens_a_span_for_every_gate(tracing, capsys):
+    # the per-layer metrics of the benchmark are read from these spans; a check
+    # that verify stops calling through its module attribute would read 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run(["check", str(PROBLEMS / "boundary_example.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert {span["name"] for span in tracer.spans if span["name"].startswith("engine.")} == {
+        "engine.verify",
+        "engine.envelope_F",
+        "engine.check_fuzzy_validity",
+        "engine.check_differentiability",
+        "engine.check_equality",
+        "engine.check_boundary",
+    }
