@@ -21,33 +21,48 @@ Envelope strategy
 Each alpha slice of the grid is visited once per expression; for G that one
 candidate pass serves the structure check, the Y envelope and Gamma.  A
 parameter whose cut has no width (lo == hi: a crisp one, or any at alpha = 1)
-is a constant of the slice, so each slice builds one table of the 2^m corners
-of the cut box over its m live parameters, a leading array axis that every
-stage reads.  G and dG/dx2 are evaluated once over all corners, for the
-structure check and the envelope.  Three stages follow.
+is a constant of the slice, so a slice's table of cut-box corners spans its m
+live parameters, a leading array axis that every stage reading it shares.
 
-Envelope: before the first slice, each partial of G is enclosed by interval
+Before the first slice, each partial of the expression is enclosed by interval
 arithmetic over the alpha = 0 cut box, which holds every cut, so a sign it
-certifies at a sample holds there in every slice.  A live parameter's partial
-is then probed over the box center and the corners, unless it is certified at
-every sample or free of the parameters.  If no parameter shows strictly
-opposite signs, the extremum is attained at a corner and the envelope is the
-exact min/max of the corner values.  Otherwise the sample falls back to the
-extremes of G over a dense lattice and is flagged approximate.  The lattice
-spans only the live axes left uncertified: a parameter certified one-signed
-at every fallback sample of a slice is pinned at the cut end attaining each
-sample's min, and its max.
+certifies at a sample holds there in every slice.  A sample is settled when
+every parameter live at alpha = 0 has a certified sign there or does not occur
+in the expression: the expression is monotone in each parameter there.
 
-Point: each envelope end carries the parameter point that attains it: at a
-fallback sample, the first lattice point attaining it; on the corner route,
-the first extremal corner or, where distinct corners tie, the tied corner
-extremal at a point nudged slightly into the domain interior (consistent with
-the envelope's one-sided derivative at boundary samples).  One subset
-evaluator serves the lattice sweep and the tie-break.
+Structure: G and dG/dx2 are evaluated over every corner at alpha = 0.  Above
+it the scan runs on the sub-mesh of the samples where G or dG/dx2 (whose
+partials the candidate pass certifies too) is not proved monotone, or where a
+corner value was not finite at alpha = 0: elsewhere no later corner, inside
+the alpha = 0 box, is more extreme than the corners already scanned, and the
+report keeps the first worst in alpha order.
+
+Envelope: at a settled sample each end is the expression at one corner, each
+parameter at the cut end its certified sign makes least (lower end) or
+greatest (upper end): two points per slice, whatever m (the certified route).
+The other samples take the corner route, on the sub-mesh of their rows and
+columns; so does, in a slice, a settled sample whose two pinned ends tie or
+cross while a parameter of the expression has width, which only rounding
+does.  A live parameter's partial is probed over the box center and the
+corners, unless it is certified at every sample or free of the parameters.
+If no parameter shows strictly opposite signs, the extremum is attained at a
+corner and the envelope is the exact min/max of the corner values.
+Otherwise the sample falls back to the extremes of G over a dense lattice and
+is flagged approximate.  The lattice spans only the live axes left
+uncertified: a parameter certified one-signed at every fallback sample of a
+slice is pinned at the cut end attaining each sample's min, and its max.
+
+Point: each envelope end carries the parameter point that attains it: on the
+certified route, its sign-pinned corner; at a fallback sample, the first
+lattice point attaining it; otherwise the first extremal corner or, where
+distinct corners tie, the tied corner extremal at a point nudged slightly into
+the domain interior (consistent with the envelope's one-sided derivative at
+boundary samples).  One subset evaluator serves the lattice sweep and the
+tie-break.
 
 Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
 likewise for the max), so Gamma substitutes those points into the symbolic
-partials, and its values are symbolic on both routes.
+partials, and its values are symbolic on every route.
 
 Checks that consume approximate samples run at a widened tolerance
 (``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
@@ -64,7 +79,7 @@ The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
 (the grid with a single point on the fixed axis) and the point envelope of
 :func:`envelope` (a 1x1x1 grid); it builds no parameter points.  Both modes
-enumerate up to 2^k cut-box corners, so every envelope takes at most
+may enumerate 2^k cut-box corners, so every envelope takes at most
 ``CORNER_PARAM_LIMIT`` parameters.
 """
 
@@ -449,6 +464,37 @@ def _certified_signs(partials, params: FuzzyVector, X1, X2, shape) -> np.ndarray
     return np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
 
 
+def _sub_mesh(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of the ``(n1, n2)`` samples that hold a marked one."""
+    return np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+
+
+def _settled(expr: Expression, partials, params: FuzzyVector, X1, X2, shape):
+    """The partials' certified signs (:func:`_certified_signs`), the samples
+    where they prove expr monotone in each parameter over the alpha = 0 box,
+    and the mask of the parameters that proof needs: those live there that
+    occur in expr, each of which has a certified sign at a settled sample."""
+    signs = _certified_signs(partials, params, X1, X2, shape)
+    los, his = _cut_arrays(params, 0.0)
+    used = free_variables(expr)
+    needed = np.array([lo < hi and name in used for name, lo, hi in zip(params.names, los, his)], dtype=bool)
+    return signs, (signs[needed] != 0).all(axis=0), needed
+
+
+def _certified_ends(expr: Expression, names, signs: np.ndarray, los: np.ndarray, his: np.ndarray, base: dict, shape):
+    """Both envelope ends of expr at every sample its certified ``signs``
+    settle, and the ``(k,) + shape`` points attaining them: the lower end's
+    point puts each parameter at its lo cut end where the sign is > 0 and at
+    hi where it is < 0, the upper end's the reverse, and one with no sign (it
+    does not occur in expr) at lo.  One evaluation over a leading axis of the
+    two points; a degenerate cut binds as a scalar, as in the corner table."""
+    at_hi = np.stack([signs < 0, signs > 0], axis=1)  # (k, 2) + shape: the lower end's, then the upper end's
+    points = np.where(at_hi, his[:, None, None, None], los[:, None, None, None])
+    binding = dict(base, **{name: points[j] if los[j] < his[j] else los[j] for j, name in enumerate(names)})
+    ends = _as_mesh(evaluate(expr, binding), (2,) + tuple(shape))
+    return ends[0], ends[1], [points[:, 0], points[:, 1]]
+
+
 def _first_extremal(values: np.ndarray, end: np.ndarray):
     """Per sample, the first of the ``(C,) + shape`` corner values equal to
     ``end`` (argmin's or argmax's pick, found without a strided reduction) and
@@ -526,8 +572,9 @@ def _envelope_stage(expr, names, probed, signs, corners, values, base: dict, x1p
     """One slice's envelope of ``expr``: the min and max of its corner ``values``
     (evaluated here when None), or, at the samples where a sign probe of the
     ``probed`` partials falls back, of the dense lattice that the partials'
-    certified ``signs`` pin.  Returns both ends, the fallback mask and the
-    lattice points attaining the ends there (None if no sample falls back)."""
+    certified ``signs`` pin.  Returns both ends, the fallback mask, the
+    lattice points attaining the ends there (None if no sample falls back) and
+    the corner values."""
     shape = (x1p.size, x2p.size)
     fb = _sign_fallback(probed, names, corners, base, shape)
     if values is None:
@@ -537,16 +584,17 @@ def _envelope_stage(expr, names, probed, signs, corners, values, base: dict, x1p
         i1, i2 = np.nonzero(fb)
         table, allowed = _box_lattice(corners[:, 0], corners[:, -1], FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
         lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
-    return lower, upper, fb, optima
+    return lower, upper, fb, optima, values
 
 
-def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p) -> list[np.ndarray]:
+def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p, axes) -> list[np.ndarray]:
     """The parameter point attaining each end of one slice's envelope, a
     ``(k,) + shape`` array each: the lattice ``optima`` at the fallback
     samples ``fb``, else the first extremal corner or, where distinct corners
     tie (e.g. the partial vanishes along an axis), the tied corner extremal
-    one step into the domain interior, so that the symbolic Gamma matches the
-    envelope's one-sided derivative."""
+    one step into the interior of the sampled ``axes`` (x1's and x2's), so
+    that the symbolic Gamma matches the envelope's one-sided derivative.
+    ``x1p`` and ``x2p`` are the samples of the slice's route."""
     (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
     points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
     if optima is not None:
@@ -554,7 +602,7 @@ def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2
     t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
     if t1.size:
         tied = values[:, t1, t2].T
-        nudged = _nudged(x1p[t1], x1p), _nudged(x2p[t2], x2p)
+        nudged = _nudged(x1p[t1], axes[0]), _nudged(x2p[t2], axes[1])
         *_, optima = _extremes_at(expr, names, corners, *nudged,
                                   (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
         points[0][:, t1, t2], points[1][:, t1, t2] = optima
@@ -604,11 +652,12 @@ def _alpha_pass(
     builds the envelope curve of ``expr`` under ``role``; a non-finite value
     there is named after ``label`` (default "<role> envelope").  In candidate
     mode it also builds the structure check, from ``expr`` and its x2-partial
-    at every corner, and runs the point and the Gamma stage after the
-    envelope stage.  Errors are kept per part in ``errors``, not raised: a
-    domain error at a corner fails every part, one in the envelope stage both
-    curves, one in the point or the Gamma stage Gamma only, and a non-finite
-    envelope the envelope only.
+    at every corner the scan does not skip (those of every sample at alpha =
+    0), and runs the point and the Gamma stage after the envelope stage.
+    Errors are kept per part in ``errors``, not raised: a domain error at a
+    corner (a pinned one included) fails every part, one in the envelope
+    stage both curves, one in the point or the Gamma stage Gamma only, and a
+    non-finite envelope the envelope only.
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
@@ -617,44 +666,88 @@ def _alpha_pass(
         raise ValueError("no grid samples satisfy the domain constraint")
     shape, base = (x1p.size, x2p.size), {"x1": x1p[:, None], "x2": x2p[None, :]}
     partials = [differentiate(expr, name) for name in names]
-    # a sign certified on the alpha = 0 box, which holds every cut, needs no probe in any slice
-    signs = _certified_signs(partials, params, base["x1"], base["x2"], shape)
+    # a sign certified on the alpha = 0 box, which holds every cut, holds in
+    # every slice: it needs no probe, and where every parameter has one (or
+    # does not occur in expr) the envelope ends sit on sign-pinned corners
+    signs, settled, needed = _settled(expr, partials, params, base["x1"], base["x2"], shape)
     probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
     parts = ("envelope", "gamma") if candidate else ("envelope",)
     # alpha-major buffers: every slice lands in one contiguous block
     planes = (alphas.size,) + shape
     env, approx = (np.empty(planes), np.empty(planes)), np.zeros(planes, dtype=bool)
+    scan = None
     if candidate:
         x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
+        # dG/dx2 proved monotone too; only worth proving where G is
+        d2_settled = settled if not settled.any() else _settled(
+            x_partials[1], [differentiate(x_partials[1], name) for name in names], params, base["x1"], base["x2"],
+            shape)[1]
+        # the structure scan's sub-mesh: every sample, until the alpha = 0 scan
+        # bounds the corners of every later cut
+        scan = np.arange(shape[0]), np.arange(shape[1])
         gam = np.empty(planes), np.empty(planes)
     result, slots = _AlphaPass(), []
     what = label or f"{role} envelope"
     for ki, alpha in enumerate(alphas.tolist()):
-        corners, values = _corner_points(*_cut_arrays(params, alpha)), None
-        if candidate:
-            try:
-                values, d2 = _corner_values((expr, x_partials[1]), names, corners, base, shape)
-            except EvalError as err:
-                result.fail(("structure",) + parts, err)
-            else:
-                finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
-                if not finite[feas].all():
-                    corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}
-                    result.fail(("structure",), _non_finite(corner_values, feas, x1p, x2p, alpha))
-                slots.append((alpha, _structure_slice(values, d2, feas & finite)))
+        los, his = _cut_arrays(params, alpha)
+        corners, values, pinned, scanned = _corner_points(los, his), None, None, scan
+        try:
+            if candidate and scan[0].size:
+                x1s, x2s = x1p[scan[0]], x2p[scan[1]]
+                values, d2 = _corner_values((expr, x_partials[1]), names, corners,
+                                            {"x1": x1s[:, None], "x2": x2s[None, :]}, (x1s.size, x2s.size))
+            if settled.any() and not all(part in result.errors for part in parts):
+                pinned = _certified_ends(expr, names, signs, los, his, base, shape)
+        except EvalError as err:
+            result.fail(("structure",) + parts if candidate else parts, err)
+            continue
+        if candidate and scan[0].size:
+            feas_s = feas[np.ix_(*scan)]
+            finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
+            if not finite[feas_s].all():
+                corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}
+                result.fail(("structure",), _non_finite(corner_values, feas_s, x1s, x2s, alpha))
+            slots.append((alpha, _structure_slice(values, d2, feas_s & finite, x1s, x2s)))
+            if alpha == 0.0:
+                # where G and dG/dx2 are proved monotone, a later cut's corners
+                # lie in this box and none is more extreme than its corners:
+                # later scans skip the samples scanned here
+                scan = _sub_mesh(~(settled & d2_settled & (finite | ~feas)))
         if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
-        try:
-            lower, upper, fb, optima = _envelope_stage(expr, names, probed, signs, corners, values, base, x1p, x2p)
-        except EvalError as err:
-            result.fail(parts, err)
-            continue
-        env[0][ki], env[1][ki], approx[ki] = lower, upper, fb
-        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, x1p, x2p, alpha))
+        # the corner route takes the unsettled samples, and the settled ones
+        # whose pinned ends tie or cross while a parameter of expr has width,
+        # which only rounding does: on the sub-mesh of their rows and columns
+        open_ = ~settled
+        if pinned is not None and (los < his)[needed].any():
+            open_ |= ~(pinned[0] < pinned[1])
+        rows, cols = _sub_mesh(open_)
+        route = np.s_[:, :] if (rows.size, cols.size) == shape else np.ix_(rows, cols)  # a view where it can
+        x1r, x2r = x1p[rows], x2p[cols]
+        if rows.size:
+            if values is not None and not all(map(np.array_equal, scanned, (rows, cols))):
+                values = None  # the scan's corner table is not the route's
+            try:
+                lower, upper, fb, optima, values = _envelope_stage(
+                    expr, names, probed, signs[(slice(None),) + route], corners, values,
+                    {"x1": x1r[:, None], "x2": x2r[None, :]}, x1r, x2r)
+            except EvalError as err:
+                result.fail(parts, err)
+                continue
+        if pinned is not None:  # else no sample settled, and the route spans the slice
+            env[0][ki], env[1][ki] = pinned[:2]
+        if rows.size:
+            env[0][ki][route], env[1][ki][route], approx[ki][route] = lower, upper, fb
+        result.fail(("envelope",), _non_finite({f"lower {what}": env[0][ki], f"upper {what}": env[1][ki]},
+                                               feas, x1p, x2p, alpha))
         if not candidate or "gamma" in result.errors:
             continue
         try:
-            points = _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p)
+            points = [np.empty((len(names),) + shape) for _ in range(2)] if pinned is None else pinned[2]
+            if rows.size:
+                on_route = _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1r, x2r, (x1p, x2p))
+                for full, part in zip(points, on_route):
+                    full[(slice(None),) + route] = part
             gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, base, feas, x1p, x2p, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             result.fail(("gamma",), err)
@@ -667,7 +760,7 @@ def _alpha_pass(
     if candidate:
         if "gamma" not in result.errors:
             result.gamma = curve(ROLE_GAMMA, gam)
-        result.structure = _structure_report(slots, x1p, x2p, denom_tol, result.errors.get("structure"))
+        result.structure = _structure_report(slots, denom_tol, result.errors.get("structure"))
     return result
 
 
@@ -782,20 +875,20 @@ def _gate(name: str, results, tol: float, widened: bool) -> CheckReport:
     return CheckReport(name, passed, worst, loc, "; ".join(notes))
 
 
-def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray):
+def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray, x1p: np.ndarray, x2p: np.ndarray):
     """Min of G, min and max of dG/dx2 over one slice's corner values at the
-    masked samples, each with its (i1, i2) position (first in corner, then
-    sample order)."""
+    masked samples, each with its (x1, x2) location (first in corner, then
+    sample order); ``x1p`` and ``x2p`` are the sample axes."""
 
     def scan(a: np.ndarray, find_min: bool):
         flat = a if mask.all() else np.where(mask, a, np.inf if find_min else -np.inf)
         pos = np.unravel_index(int(flat.argmin() if find_min else flat.argmax()), flat.shape)
-        return float(flat[pos]), pos[1:]
+        return float(flat[pos]), (float(x1p[pos[1]]), float(x2p[pos[2]]))
 
     return scan(values, True), scan(d2, True), scan(d2, False)
 
 
-def _structure_report(slots, x1p, x2p, denom_tol: float, error: Exception | None) -> CheckReport:
+def _structure_report(slots, denom_tol: float, error: Exception | None) -> CheckReport:
     """Fold the per-slice ``(alpha, extrema)`` into the structure report: the
     first worst (:func:`_first_worst`) of the positivity and the sign
     violation, each itself the first worst over the slices.  A non-finite or
@@ -804,8 +897,8 @@ def _structure_report(slots, x1p, x2p, denom_tol: float, error: Exception | None
     def fold(k: int, sign: float):
         # sign * the k-th extremum (negating a minimum is exact); a slice with
         # no feasible finite corner scanned to +-inf and never wins
-        return _first_worst((sign * v if math.isfinite(v) else None, (float(x1p[i1]), float(x2p[i2]), alpha))
-                            for alpha, extrema in slots for v, (i1, i2) in [extrema[k]]) or (-np.inf, None)
+        return _first_worst((sign * v if math.isfinite(v) else None, (*at, alpha))
+                            for alpha, extrema in slots for v, at in [extrema[k]]) or (-np.inf, None)
 
     # pos_violation >= 0 iff G fails strict positivity
     (pos_violation, g_loc), (neg_d_min, d_min_loc), (d_max, d_max_loc) = fold(0, -1.0), fold(1, -1.0), fold(2, 1.0)
@@ -840,6 +933,19 @@ def _alpha_planes(*arrays: np.ndarray):
     return [a.transpose(2, 0, 1) for a in arrays]
 
 
+def _check_finite_ends(curve: EnvelopeCurve) -> None:
+    """Raise :class:`NonFiniteValueError` at the first feasible sample, in
+    alpha then sample order, where an end of the curve is NaN or infinite; one
+    alpha plane at a time.  A residual check needs this: an infinite end can
+    leave every residual finite but one -inf, which never is the worst."""
+    for alpha, lower, upper in zip(curve.alpha.tolist(), *_alpha_planes(curve.lower, curve.upper)):
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            ends = {f"lower end of the {curve.role} curve": lower, f"upper end of the {curve.role} curve": upper}
+            error = _non_finite(ends, curve.feasible, curve.x1, curve.x2, alpha)
+            if error is not None:
+                raise error
+
+
 def _any_feasible(flags: np.ndarray, feasible: np.ndarray) -> bool:
     return bool(flags.any(axis=2)[feasible].any())
 
@@ -848,10 +954,14 @@ def _any_feasible(flags: np.ndarray, feasible: np.ndarray) -> bool:
 def check_fuzzy_validity(curves: list[EnvelopeCurve]) -> CheckReport:
     """Every envelope must satisfy lower <= upper at every feasible sample (a
     NaN or overflowing lower - upper raises :class:`NonFiniteValueError`, the
-    first NaN in curve order first).  Each curve is read one plane at a time."""
+    first NaN in curve order first, and so does a NaN or infinite end).  Each
+    curve is read one plane at a time."""
     results = [(*_masked_worst(map(np.subtract, *_alpha_planes(c.lower, c.upper)), c.feasible, (c.x1, c.x2, c.alpha)),
                 f"lower exceeds upper in the {c.role} envelope") for c in curves]
-    return _gate("fuzzy_validity", results, 0.0, False)
+    report = _gate("fuzzy_validity", results, 0.0, False)
+    for curve in curves:
+        _check_finite_ends(curve)
+    return report
 
 
 @_masked_out_invalid
@@ -863,8 +973,9 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
     3. Gamma_1 <= Gamma_2 at alpha = 1,
 
     each within ``tol`` slack at every feasible (x1, x2) (an overflowing
-    difference, or a NaN, raises :class:`NonFiniteValueError`).  Each
-    condition reads two alpha planes at a time.
+    difference, a NaN, or an infinite end raises
+    :class:`NonFiniteValueError`).  Each condition reads two alpha planes at
+    a time.
     """
     lo, hi = _alpha_planes(gamma.lower, gamma.upper)
     axes = (gamma.x1, gamma.x2, gamma.alpha[1:])
@@ -877,7 +988,9 @@ def check_differentiability(gamma: EnvelopeCurve, tol: float = DEFAULT_MONO_TOL)
         _masked_worst([lo[-1] - hi[-1]], gamma.feasible, (gamma.x1, gamma.x2, gamma.alpha[-1:])),
     )
     results = [(v, loc, f"condition {i} violated") for i, (v, loc) in enumerate(conditions, 1)]
-    return _gate("differentiability", results, tol, _any_feasible(gamma.approximate, gamma.feasible))
+    report = _gate("differentiability", results, tol, _any_feasible(gamma.approximate, gamma.feasible))
+    _check_finite_ends(gamma)
+    return report
 
 
 @_masked_out_invalid

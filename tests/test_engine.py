@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from bfpde.engine import (
     gamma_curves,
     verify,
 )
-from bfpde.expr import EvalDomainError, EvalError, differentiate, evaluate, parse
+from bfpde.expr import EvalDomainError, EvalError, differentiate, evaluate, free_variables, parse
 from bfpde.fuzzy import FuzzyVector, TriangularFuzzyNumber, alpha_cut
 from bfpde.io import load_problem, report_to_dict
 
@@ -589,23 +590,53 @@ class TestVerify:
         return calls
 
     def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
-        # Every evaluate call counts.  Per alpha level (11 of them): G and
-        # dG/dx2 over the 4 box corners, G at the samples where corners tie
-        # over the 4 corners nudged into the interior, Gamma's numerator and
-        # denominator at the 2 selected corners, and F over its 4 corners.
-        # The beta-partial of G is probed over the center and the 4 corners on
-        # the 10 levels below alpha = 1.  The other partials are
-        # parameter-free, so they are not probed.
+        # Every evaluate call counts.  beta's partial x1^beta*ln(x1)*x2
+        # vanishes on the x1 = 1 row, so the certificate settles every other
+        # sample, where each level evaluates G, and F, at the 2 sign-pinned
+        # corners.  Structure scans G and dG/dx2 over the 4 corners of every
+        # sample at alpha = 0, and only on the x1 = 1 row above it, where the
+        # corner route also probes beta (the center and 4 corners) and breaks
+        # ties (x1^beta = 1 ties every beta) over the 4 corners nudged into
+        # the interior; at alpha = 0 the route evaluates its own row of G's
+        # corners.  Gamma's numerator and denominator come at each end's
+        # point, on every sample of the 11 levels.
         calls = self._count_evaluations(monkeypatch, worked_problem())
-        assert len(calls) <= 11 * (1 + 1 + 1 + 4 + 1) + 10 * 1
-        # the corners and probes are a leading axis of one evaluation
-        assert (4, 21, 21) in calls and (5, 21, 21) in calls
-        # G and F over the corners below alpha = 1; the tie-break probes only
-        # the tied samples: the 21 at x1 = 1 (x1^beta = 1 ties every beta)
-        # below alpha = 1
-        assert calls.count((4, 21, 21)) == 20
-        assert calls.count((21, 4)) == 10
-        assert calls.count((441, 4)) == 0
+        assert Counter(calls) == {
+            (4, 21, 21): 1, (4, 21, 1): 1,  # the alpha = 0 scan; dG/dx2 = x1^beta has no x2
+            (4, 1, 21): 9 + 1, (4, 1, 1): 9,  # the x1 = 1 row's scan on the 9 inner levels, and its route at 0
+            (1, 21): 1, (1, 1): 1,  # and at alpha = 1, where the corners coincide
+            (2, 21, 21): 2 * 10,  # G and F at the pinned corners below alpha = 1
+            (5, 1, 21): 10, (21, 4): 10,  # the probe and the tie-break below alpha = 1
+            (21, 21): 4 * 11 + 2,  # Gamma, and G and F at alpha = 1, where every cut is a point
+        }
+
+    def test_wide_corner_tables_only_at_alpha_zero(self, monkeypatch):
+        # every sample is settled at k = 12: the alpha = 0 structure scan is
+        # the one evaluation over the 2^12 corners (G's, then dG/dx2's, which
+        # has no x2), and each level evaluates G and F at 2 points
+        problem = replace(self.many_params_problem(12), grid=GridSpec(21, 21, 6))
+        calls = self._count_evaluations(monkeypatch, problem)
+        assert calls[:2] == [(4096, 21, 21), (4096, 21, 1)]
+        assert [shape for shape in calls[2:] if 4096 in shape] == []
+        assert calls.count((2, 21, 21)) == 2 * 5
+
+    def test_the_probe_runs_only_on_unsettled_samples(self, monkeypatch):
+        # boundary_example.json: beta's partial is uncertified only on the
+        # x1 = 1 row of G's pass, and at every sample of the x2 = 0 edge, where
+        # the candidate's partial x1^beta*ln(x1)*x2 is 0
+        problem = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
+        probe, shapes = differentiate(problem.g, "beta"), []
+        original = bfpde.engine.evaluate
+
+        def recording(expr, binding):
+            value = original(expr, binding)
+            if expr == probe:
+                shapes.append(np.shape(value))
+            return value
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+        assert verify(problem).outcome == BF_SOLUTION
+        assert shapes == [(5, 1, 21)] * 10 + [(5, 21, 1)] * 10
 
     @staticmethod
     def many_params_problem(k: int) -> ProblemSpec:
@@ -993,45 +1024,53 @@ class TestSignCertificate:
     leaves the partials certified at every sample unprobed: its fallback mask
     must be the one that probing every partial gives."""
 
-    def assert_sound(self, monkeypatch, expr, params, box, grid) -> tuple[int, int]:
-        """Check every slice; returns the certified (partial, sample) pairs and
-        the partial-slices the pass left unprobed."""
+    def assert_sound(self, monkeypatch, expr, params, box, grid) -> tuple[int, int, int]:
+        """Check every slice; returns the certified (partial, sample) pairs,
+        the samples the certificate settles, and the (partial, sample) pairs
+        of live partials the pass left unprobed, summed over the slices."""
         names = params.names
         x1p, x2p, alphas, feas = bfpde.engine._grid_samples(box, grid)
         base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
         partials = [differentiate(expr, name) for name in names]
-        signs = bfpde.engine._certified_signs(partials, params, base["x1"], base["x2"], shape)
+        signs, settled, _ = bfpde.engine._settled(expr, partials, params, base["x1"], base["x2"], shape)
+        live_pairs = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
+            live_pairs += int((los < his).sum()) * settled.size
             center = dict(base, **{name: 0.5 * lo + 0.5 * hi for name, lo, hi in zip(names, los, his)})
             for binding in (center, *TestProbeAxis.corner_bindings(names, los, his, base)):
                 for d, sign in zip(partials, signs):
                     v = np.broadcast_to(evaluate(d, binding), shape)
                     assert ((v > 0.0) | (sign <= 0)).all() and ((v < 0.0) | (sign >= 0)).all()
-        skipped = []
+            # a settled sample takes no probe: probing would send it nowhere
+            fallback = bfpde.engine._sign_fallback(partials, names, bfpde.engine._corner_points(los, his), base, shape)
+            assert not (fallback & settled).any()
+        probed = []
         original = bfpde.engine._sign_fallback
 
-        def against_every_partial(probed, *args):
+        def against_every_partial(table, *args):
             los, his = args[1][:, 0], args[1][:, -1]
-            skipped.append(sum(d is None and lo < hi for d, lo, hi in zip(probed, los, his)))
-            fallback = original(probed, *args)
+            probed.append(math.prod(args[3]) * sum(d is not None and lo < hi for d, lo, hi in zip(table, los, his)))
+            fallback = original(table, *args)
             assert np.array_equal(fallback, original(partials, *args))
             return fallback
 
         monkeypatch.setattr(bfpde.engine, "_sign_fallback", against_every_partial)
         bfpde.engine._alpha_pass(expr, params, x1p, x2p, alphas, feas)
         monkeypatch.undo()
-        return int(np.count_nonzero(signs)), sum(skipped)
+        return int(np.count_nonzero(signs)), int(settled.sum()), live_pairs - sum(probed)
 
     def test_random_smooth_expressions(self, monkeypatch):
         rng = np.random.default_rng(23)
-        box, certified, skipped = DomainBox(1.0, 2.5, 1.0, 2.5), 0, 0
+        box, certified, settled, skipped = DomainBox(1.0, 2.5, 1.0, 2.5), 0, 0, 0
         for _ in range(400):
             expr, _ = random_smooth_expression(rng)
             params = FuzzyVector((("beta", random_triangle(rng, 0.3, 0.3)), ("gamma", random_triangle(rng, 0.5, 0.5))))
-            c, k = self.assert_sound(monkeypatch, expr, params, box, GridSpec(6, 5, 4))
-            certified, skipped = certified + c, skipped + k
-        assert certified > 5_000 and skipped > 1_000
+            c, s, k = self.assert_sound(monkeypatch, expr, params, box, GridSpec(6, 5, 4))
+            certified, settled, skipped = certified + c, settled + s, skipped + k
+        # of the 72,000 live (partial, sample) pairs (400 passes, 3 levels
+        # below alpha = 1, 2 parameters, 6 x 5 samples) few are probed
+        assert (certified, settled, skipped) == (8_694, 11_382, 70_002)
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json")),
                              ids=lambda path: path.stem)
@@ -1045,8 +1084,10 @@ class TestSignCertificate:
         # its cut's middle; c's partial is certified, so c is not probed
         params = FuzzyVector((("b", TriangularFuzzyNumber(0.7, 1.0, 1.3)), ("c", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
         g = parse("x2 + (b - 1)^3 / 3 - 0.01*b + 0.006*b*exp(c)", params.names)
-        _, skipped = self.assert_sound(monkeypatch, g, params, DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3))
-        assert skipped == 2
+        box, grid = DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3)
+        _, settled, skipped = self.assert_sound(monkeypatch, g, params, box, grid)
+        # no sample is settled, so c goes unprobed at the 9 samples of the 2 levels below alpha = 1
+        assert settled == 0 and skipped == 2 * 9
 
     def test_a_name_the_box_lacks_stays_uncertified(self):
         # the certificate leaves such a partial to the slice, where evaluating
@@ -1236,6 +1277,20 @@ class TestNonFinite:
         lower = np.zeros((2, 2, 3))
         return EnvelopeCurve(ROLE_GAMMA, x, x, np.linspace(0.0, 1.0, 3), lower, lower + 1.0,
                              np.zeros(lower.shape, dtype=bool), np.ones((2, 2), dtype=bool))
+
+    def test_an_infinite_end_raises_where_no_residual_does(self):
+        # upper = inf at (2, 2, 0) makes lower - upper and condition 2's rise
+        # into alpha = 0.5 -inf, never the worst; it passes where infeasible
+        gamma = self.unit_gamma()
+        gamma.upper[1, 1, 0] = np.inf
+        for check, curve in ((lambda c: check_fuzzy_validity([c]), replace(gamma, role="Y")),
+                             (check_differentiability, gamma)):
+            with pytest.raises(NonFiniteValueError) as raised:
+                check(curve)
+            assert str(raised.value) == f"non-finite upper end of the {curve.role} curve = inf at (x1=2, x2=2, alpha=0)"
+            assert raised.value.location == (2.0, 2.0, 0.0)
+            infeasible = replace(curve, feasible=np.array([[True, True], [True, False]]))
+            assert check(infeasible).passed
 
     def test_nan_in_differentiability_condition_two_or_three_raises(self):
         # a NaN upper end at the core cut makes conditions 2 and 3 NaN there; it
@@ -1485,8 +1540,8 @@ class TestPinnedLattice:
             assert full not in widths and 2 * 33 in widths
 
     def test_interval_work_once_per_pass_and_live_parameter(self, monkeypatch):
-        # before the first slice of each pass: G, F, then the candidate and the
-        # target on each boundary edge; never per slice
+        # before the first slice of each pass: G (and dG/dx2), F, then the
+        # candidate and the target on each boundary edge; never per slice
         calls = []
         original = bfpde.engine.interval_eval
 
@@ -1498,10 +1553,14 @@ class TestPinnedLattice:
         boundary = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
         crisp_gamma = replace(boundary, parameters=FuzzyVector((("beta", TriangularFuzzyNumber(0.25, 0.5, 0.75)),
                                                                 ("gamma", TriangularFuzzyNumber(1.0, 1.0, 1.0)))))
-        for problem in (TestVerify.many_params_problem(6), boundary, crisp_gamma, self.non_monotone(1)):
+        # the candidate pass also certifies dG/dx2 where G settles a sample;
+        # non-monotone's b is uncertified at every sample
+        for problem, settles in ((TestVerify.many_params_problem(6), True), (boundary, True), (crisp_gamma, True),
+                                 (self.non_monotone(1), False)):
             calls.clear()
             assert verify(problem).outcome == BF_SOLUTION
-            passes = [problem.g, problem.f, *(e for cond in problem.boundary for e in (problem.g, cond.target))]
+            candidate = [problem.g, differentiate(problem.g, "x2")] if settles else [problem.g]
+            passes = [*candidate, problem.f, *(e for cond in problem.boundary for e in (problem.g, cond.target))]
             params = problem.parameters
             live = [name for name, t in zip(params.names, params.numbers) if t.left < t.right]
             assert calls == [differentiate(e, name) for e in passes for name in live]
@@ -1511,6 +1570,140 @@ class TestPinnedLattice:
         widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
         assert 33 ** 2 in widths
         self.assert_matches_full_lattice(problem)
+
+
+class TestCertifiedRoute:
+    """Where the alpha = 0 certificate proves G monotone in every parameter at
+    a sample, each envelope end is G at a sign-pinned corner, and structure
+    scans above alpha = 0 only where G or dG/dx2 is not proved monotone.  At
+    every settled sample of every slice, Y's ends must be the min and the max
+    over all 2^m corners bit for bit, and Gamma's points the first extremal
+    corners; the structure report must be that of a scan of every corner in
+    every slice."""
+
+    @staticmethod
+    def full_scan(g, params, x1p, x2p, alphas, feas, denom_tol):
+        """The structure report of every corner of every slice, with the first
+        error in alpha order; and each slice's corner table of G and corners."""
+        names, d2 = params.names, differentiate(g, "x2")
+        base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
+        slots, tables, error = [], [], None
+        for alpha in alphas.tolist():
+            corners = bfpde.engine._corner_points(*bfpde.engine._cut_arrays(params, alpha))
+            try:
+                values, dv = bfpde.engine._corner_values((g, d2), names, corners, base, shape)
+            except EvalError as err:
+                error, tables = error or err, tables + [None]
+                continue
+            finite = np.isfinite(values).all(axis=0) & np.isfinite(dv).all(axis=0)
+            if error is None and not finite[feas].all():
+                corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": dv}
+                error = bfpde.engine._non_finite(corner_values, feas, x1p, x2p, alpha)
+            slots.append((alpha, bfpde.engine._structure_slice(values, dv, feas & finite, x1p, x2p)))
+            tables.append((values, corners))
+        return bfpde.engine._structure_report(slots, denom_tol, error), tables
+
+    def assert_matches(self, monkeypatch, problem) -> int:
+        """Check one problem's candidate pass; returns its settled (sample, slice) pairs."""
+        g, params = problem.g, problem.parameters
+        x1p, x2p, alphas, feas = bfpde.engine._grid_samples(problem.box, problem.grid)
+        X1, X2, shape = x1p[:, None], x2p[None, :], (x1p.size, x2p.size)
+        signs, settled, needed = bfpde.engine._settled(g, [differentiate(g, n) for n in params.names], params, X1, X2,
+                                                       shape)
+        points = []
+        original = bfpde.engine._gamma_stage
+
+        def recording(x_partials, names, slice_points, *args):
+            points.append([p.copy() for p in slice_points])
+            return original(x_partials, names, slice_points, *args)
+
+        monkeypatch.setattr(bfpde.engine, "_gamma_stage", recording)
+        denom_tol = problem.tolerances.denom_tol
+        result = bfpde.engine._alpha_pass(g, params, x1p, x2p, alphas, feas, denom_tol=denom_tol, candidate=True)
+        monkeypatch.undo()
+        report, tables = self.full_scan(g, params, x1p, x2p, alphas, feas, denom_tol)
+        assert repr(result.structure) == repr(report)
+        used = free_variables(g)
+        for ki, table in enumerate(tables):
+            if table is None or "envelope" in result.errors:
+                continue
+            values, corners = table
+            live = [j for j, name in enumerate(params.names) if corners[j, 0] < corners[j, -1] and name in used]
+            # the sign-pinned corners: bit i of a corner sets the i-th live
+            # parameter (any width) to hi, where its sign makes that end least
+            # (lower end) or greatest (upper end); one with no sign stays at lo
+            bits = np.flatnonzero(corners[:, 0] < corners[:, -1])
+            pins = [sum((signs[j] * side > 0).astype(np.intp) << i for i, j in enumerate(bits)) for side in (-1, 1)]
+            ends = [np.take_along_axis(values, np.broadcast_to(pin, shape)[None], 0)[0] for pin in pins]
+            # where those ends tie or cross, which only rounding can do while a
+            # parameter of G has width, the sample takes the corner route
+            tied = settled & ~(ends[0] < ends[1]) & bool((corners[:, 0] < corners[:, -1])[needed].any())
+            for end, reduce, pick, k in ((result.envelope.lower, np.min, np.argmin, 0),
+                                         (result.envelope.upper, np.max, np.argmax, 1)):
+                want = reduce(values, axis=0)[settled]
+                assert np.array_equal(end[:, :, ki][settled].view(np.int64), want.view(np.int64))
+                if ki < len(points):
+                    first = np.take(corners, pick(values, axis=0), axis=1)
+                    kept = settled & ~tied
+                    assert np.array_equal(points[ki][k][live][:, kept], first[live][:, kept])
+        return int(settled.sum()) * alphas.size
+
+    def test_shipped_problems(self, monkeypatch):
+        shipped = Path(__file__).resolve().parents[1] / "problems"
+        settled = [self.assert_matches(monkeypatch, load_problem(path)) for path in sorted(shipped.glob("*.json"))]
+        # x1^beta ties every beta on the x1 = 1 row, which takes the corner
+        # route; not_differentiable's G settles no sample
+        assert settled == [20 * 21 * 11, 21 * 21 * 11, 0, 40 * 41 * 21, 40 * 41 * 21]
+
+    @pytest.mark.parametrize("g_text, worst, location", [
+        # G rises with b, dG/dx2 = (b - 1)^2 + 0.1 does not: its least value
+        # is at b = 1, a corner of the alpha = 1 cut only
+        ("x2*((b - 1)^2 + 0.1) + 10*b + c", 1e-10 - 0.1, (1.0, 1.0, 1.0)),
+        # G rises with b and c but overflows at every alpha = 0 sample; G < 0
+        # first shows at alpha = 0.25, and the overflow is the location
+        ("x2 + c - 3 + exp(1400*(b - 0.9)*x1)", 1.75, (1.0, 1.0, 0.0)),
+    ])
+    def test_the_scan_keeps_samples_alpha_zero_does_not_bound(self, monkeypatch, g_text, worst, location):
+        names = ("b", "c")
+        params = FuzzyVector((("b", TriangularFuzzyNumber(0.5, 1.0, 1.5)), ("c", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
+        problem = ProblemSpec("scan", g_text, "x2", parse(g_text, names), parse("x2", names), params,
+                              DomainBox(1.0, 1.2, 1.0, 2.0), GridSpec(5, 4, 5))
+        assert self.assert_matches(monkeypatch, problem) == 5 * 4 * 5
+        report = check_structure(problem.g, params, problem.box, problem.grid)
+        assert (report.worst_violation, report.location) == (worst, location)
+
+    def test_pinned_ends_that_rounding_crosses_take_the_corner_route(self, monkeypatch):
+        # dG/db folds to 1, so every sample is settled, but at x2 = 1 rounding
+        # puts G(b = 1) = 1e16 + 2 above G(b = 1.5) = 1e16: the pinned ends
+        # cross there, and the corner route's min and max keep lower <= upper
+        g_text = "1e16*x2 + 3*b - 2*b"
+        params = FuzzyVector((("b", TriangularFuzzyNumber(1.0, 1.25, 1.5)),))
+        problem = ProblemSpec("crossed", g_text, "x2", parse(g_text, ("b",)), parse("x2", ("b",)), params,
+                              DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3))
+        assert self.assert_matches(monkeypatch, problem) == 3 * 3 * 3
+        curve = envelope_curve(problem.g, params, problem.box, problem.grid, "Y")
+        assert (curve.lower[0, 0, 0], curve.upper[0, 0, 0]) == (1e16, 1e16 + 2)
+        assert check_fuzzy_validity([curve]).passed
+
+    def test_golden_corpus(self, monkeypatch):
+        from test_golden import _corpus
+
+        assert sum(self.assert_matches(monkeypatch, problem) for problem in _corpus().values()) > 0
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_many_params(self, monkeypatch, k):
+        problem = TestVerify.many_params_problem(k)
+        assert self.assert_matches(monkeypatch, problem) == problem.grid.n_x1 * problem.grid.n_x2 * problem.grid.n_alpha
+
+    def test_random_monotone_instances(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        settled = 0
+        for _ in range(60):
+            g_text, params, box = random_monotone_instance(rng)
+            g = parse(g_text, params.names)
+            problem = ProblemSpec("random", g_text, "x2", g, parse("x2"), params, box, GridSpec(7, 6, 5))
+            settled += self.assert_matches(monkeypatch, problem)
+        assert settled > 0
 
 
 class TestPlaneReductions:
