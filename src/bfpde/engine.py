@@ -55,10 +55,10 @@ slice is pinned at the cut end attaining each sample's min, and its max.
 Point: each envelope end carries the parameter point that attains it: on the
 certified route, its sign-pinned corner; at a fallback sample, the first
 lattice point attaining it; otherwise the first extremal corner or, where
-distinct corners tie, the tied corner extremal at a point nudged slightly into
-the domain interior (consistent with the envelope's one-sided derivative at
-boundary samples).  One subset evaluator serves the lattice sweep and the
-tie-break.
+distinct corners tie, the tied corner extremal in d . grad_x G along one step
+d into the sampled box, which by Danskin's theorem is the envelope's one-sided
+derivative: the tie-break evaluates the x-partials at grid samples, never G
+off the grid.  One selector serves the lattice sweep and the tie-break.
 
 Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
 likewise for the max), so Gamma substitutes those points into the symbolic
@@ -113,7 +113,6 @@ FALLBACK_TOL = 1e-4  # slack for the lattice spacing of the dense-sampling route
 FALLBACK_BOX_SAMPLES = 33  # per-axis lattice density of the dense fallback
 BOX_SAMPLE_BUDGET = 100_000  # total lattice size cap for many-parameter boxes
 CORNER_PARAM_LIMIT = 16  # parameter cap: every envelope enumerates the 2^k cut-box corners
-EDGE_NUDGE_REL = 1e-4  # tie-break probe offset, relative to the axis range
 
 _CHECK_OUTCOME = (
     ("structure", STRUCTURE_FAILS),
@@ -404,15 +403,19 @@ def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _extremes_at(expr: Expression, names, points, x1: np.ndarray, x2: np.ndarray, allowed=None):
-    """The min and the max of expr over M parameter points (one ``(M,)`` or
-    ``(q, M)`` row per parameter) at each of the ``(q,)`` samples (x1, x2), and
-    the ``(k, q)`` points attaining them, the first in column order; ``allowed``,
-    a pair of masks, restricts the min and the max to the points it marks."""
+def _at_points(expr: Expression, names, points, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """expr at the ``(q,)`` samples (x1, x2) and M ``points`` (an (M,) or (q, M) row per parameter): (q, M)."""
     binding = dict({"x1": x1[:, None], "x2": x2[:, None]}, **dict(zip(names, points)))
-    w = np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, np.shape(points[0])[-1]))
+    return np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, np.shape(points[0])[-1]))
+
+
+def _extremes_at(w: np.ndarray, points, allowed=None):
+    """The min and the max of each row of the ``(q, M)`` values ``w`` at the
+    :func:`_at_points` ``points``, and the ``(k, q)`` points attaining them (the
+    first in column order); ``allowed``, a pair of masks, restricts the min
+    and the max to the points it marks."""
     lo_w, hi_w = (w, w) if allowed is None else (np.where(allowed[0], w, np.inf), np.where(allowed[1], w, -np.inf))
-    rows, at = np.arange(x1.size), (lo_w.argmin(axis=1), hi_w.argmax(axis=1))
+    rows, at = np.arange(w.shape[0]), (lo_w.argmin(axis=1), hi_w.argmax(axis=1))
     optima = [np.stack([np.broadcast_to(r, w.shape)[rows, a] for r in points]) for a in at]
     return w[rows, at[0]], w[rows, at[1]], optima
 
@@ -510,13 +513,6 @@ def _first_extremal(values: np.ndarray, end: np.ndarray):
     return first, hit.sum(axis=0) > 1
 
 
-def _nudged(x: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Coordinates x moved one small step into the interior of the sampled axis."""
-    lo, hi = float(axis[0]), float(axis[-1])
-    d = EDGE_NUDGE_REL * (hi - lo)
-    return np.where(x + d <= hi, x + d, x - d)
-
-
 def _non_finite(arrays: dict, feas: np.ndarray, x1p, x2p, alpha: float) -> NonFiniteValueError | None:
     """The error for the first feasible sample, in sample order, where one of
     the named ``(...,) + feas.shape`` arrays is NaN or infinite; None if there
@@ -583,28 +579,31 @@ def _envelope_stage(expr, names, probed, signs, corners, values, base: dict, x1p
     if fb.any():
         i1, i2 = np.nonzero(fb)
         table, allowed = _box_lattice(corners[:, 0], corners[:, -1], FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
-        lower[i1, i2], upper[i1, i2], optima = _extremes_at(expr, names, table, x1p[i1], x2p[i2], allowed)
+        w = _at_points(expr, names, table, x1p[i1], x2p[i2])
+        lower[i1, i2], upper[i1, i2], optima = _extremes_at(w, table, allowed)
     return lower, upper, fb, optima, values
 
 
-def _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1p, x2p, axes) -> list[np.ndarray]:
+def _point_stage(x_partials, names, corners, values, lower, upper, fb, optima, x1p, x2p, axes) -> list[np.ndarray]:
     """The parameter point attaining each end of one slice's envelope, a
     ``(k,) + shape`` array each: the lattice ``optima`` at the fallback
     samples ``fb``, else the first extremal corner or, where distinct corners
-    tie (e.g. the partial vanishes along an axis), the tied corner extremal
-    one step into the interior of the sampled ``axes`` (x1's and x2's), so
-    that the symbolic Gamma matches the envelope's one-sided derivative.
-    ``x1p`` and ``x2p`` are the samples of the slice's route."""
+    tie (e.g. the partial vanishes along an axis), the first tied corner whose
+    d . grad_x G (``x_partials``: dG/dx1, dG/dx2) is least for the lower end
+    and greatest for the upper, d being the range of each sampled axis in
+    ``axes`` (backward at its last sample).  ``x1p`` and ``x2p`` are the
+    samples of the slice's route."""
     (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
     points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
     if optima is not None:
         points[0][:, fb], points[1][:, fb] = optima
     t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
     if t1.size:
-        tied = values[:, t1, t2].T
-        nudged = _nudged(x1p[t1], axes[0]), _nudged(x2p[t2], axes[1])
-        *_, optima = _extremes_at(expr, names, corners, *nudged,
-                                  (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
+        tied, x = values[:, t1, t2].T, (x1p[t1], x2p[t2])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at an infeasible sample
+            score = sum(np.where(xs < a[-1], a[-1] - a[0], a[0] - a[-1])[:, None] * _at_points(d, names, corners, *x)
+                        for xs, a, d in zip(x, axes, x_partials))
+        *_, optima = _extremes_at(score, corners, (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
         points[0][:, t1, t2], points[1][:, t1, t2] = optima
     return points
 
@@ -745,8 +744,8 @@ def _alpha_pass(
         try:
             points = [np.empty((len(names),) + shape) for _ in range(2)] if pinned is None else pinned[2]
             if rows.size:
-                on_route = _point_stage(expr, names, corners, values, lower, upper, fb, optima, x1r, x2r, (x1p, x2p))
-                for full, part in zip(points, on_route):
+                pts = _point_stage(x_partials, names, corners, values, lower, upper, fb, optima, x1r, x2r, (x1p, x2p))
+                for full, part in zip(points, pts):
                     full[(slice(None),) + route] = part
             gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, base, feas, x1p, x2p, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:

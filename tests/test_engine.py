@@ -596,8 +596,8 @@ class TestVerify:
         # corners.  Structure scans G and dG/dx2 over the 4 corners of every
         # sample at alpha = 0, and only on the x1 = 1 row above it, where the
         # corner route also probes beta (the center and 4 corners) and breaks
-        # ties (x1^beta = 1 ties every beta) over the 4 corners nudged into
-        # the interior; at alpha = 0 the route evaluates its own row of G's
+        # ties (x1^beta = 1 ties every beta) by dG/dx1 and dG/dx2 over the 4
+        # corners; at alpha = 0 the route evaluates its own row of G's
         # corners.  Gamma's numerator and denominator come at each end's
         # point, on every sample of the 11 levels.
         calls = self._count_evaluations(monkeypatch, worked_problem())
@@ -606,7 +606,7 @@ class TestVerify:
             (4, 1, 21): 9 + 1, (4, 1, 1): 9,  # the x1 = 1 row's scan on the 9 inner levels, and its route at 0
             (1, 21): 1, (1, 1): 1,  # and at alpha = 1, where the corners coincide
             (2, 21, 21): 2 * 10,  # G and F at the pinned corners below alpha = 1
-            (5, 1, 21): 10, (21, 4): 10,  # the probe and the tie-break below alpha = 1
+            (5, 1, 21): 10, (21, 4): 2 * 10,  # the probe, and the tie-break's x-partials, below alpha = 1
             (21, 21): 4 * 11 + 2,  # Gamma, and G and F at alpha = 1, where every cut is a point
         }
 
@@ -668,9 +668,10 @@ class TestVerify:
         assert (64, 41, 41) in calls and (65, 41, 41) not in calls
 
     def test_coinciding_corners_and_fallback_samples_take_no_tie_break(self, monkeypatch):
-        # the tie-break evaluates G over all 2^k corners at the (q,) tied
-        # samples; corners that coincide (a crisp parameter, every alpha = 1
-        # slice) tie nothing, and a fallback sample's point is the lattice's
+        # the tie-break evaluates dG/dx1 and dG/dx2 over all 2^k corners at
+        # the (q,) tied samples; corners that coincide (a crisp parameter,
+        # every alpha = 1 slice) tie nothing, and a fallback sample's point is
+        # the lattice's
         crisp = load_problem(Path(__file__).resolve().parents[1] / "problems" / "crisp_example.json")
         for problem in (crisp, TestDanskinGamma.non_monotone_problem(), self.many_params_problem(3)):
             corners = 2 ** len(problem.parameters)
@@ -774,31 +775,34 @@ class TestVerify:
 
 class TestTieBreak:
     """Where several cut-box corners attain an envelope end, Gamma is taken at
-    the tied corner that is extremal one nudge into the sampled box (forward
-    on each x axis, backward at its upper end), the first one on a tie;
-    checked against sympy partials at the corner a plain loop here picks."""
+    the tied corner whose directional derivative d . grad_x G is least (lower
+    end) or greatest (upper end), the first one on a tie: by Danskin's theorem
+    that is the envelope's one-sided derivative along d, whose component on
+    each x axis is its sampled range, backward at its last sample.  Checked
+    against sympy partials at the corner a plain loop here picks."""
 
     SHIPPED = Path(__file__).resolve().parents[1] / "problems"
 
     @staticmethod
-    def attaining_corners(g, params, x1, x2, alpha, nudged):
+    def attaining_corners(g, params, x1, x2, alpha, step, d_x1, d_x2):
         """The corners (name -> value) attaining the lower and the upper end at
-        (x1, x2), tied corners probed at the ``nudged`` point, and whether two
-        distinct corners tied."""
+        (x1, x2), tied corners scored by the sympy partials ``d_x1`` and
+        ``d_x2`` along ``step``, and whether two distinct corners tied."""
         cuts = [alpha_cut(t, alpha) for t in params.numbers]
         corners = [{name: (c.hi if (i >> j) & 1 else c.lo) for j, (name, c) in enumerate(zip(params.names, cuts))}
                    for i in range(2 ** len(cuts))]
         values = [float(evaluate(g, {"x1": x1, "x2": x2, **at})) for at in corners]
-        probe = [float(evaluate(g, {"x1": nudged[0], "x2": nudged[1], **at})) for at in corners]
+        score = [step[0] * d_x1(x1, x2, **at) + step[1] * d_x2(x1, x2, **at) for at in corners]
         low = [i for i, v in enumerate(values) if v == min(values)]
         high = [i for i, v in enumerate(values) if v == max(values)]
         distinct = any(len({tuple(corners[i].values()) for i in tied}) > 1 for tied in (low, high))
-        return (corners[min(low, key=lambda i: probe[i])], corners[max(high, key=lambda i: probe[i])]), distinct
+        return (corners[min(low, key=lambda i: score[i])], corners[max(high, key=lambda i: score[i])]), distinct
 
     @staticmethod
-    def nudged(x, axis):
-        d = bfpde.engine.EDGE_NUDGE_REL * (axis[-1] - axis[0])
-        return x + d if x + d <= axis[-1] else x - d
+    def step(x, axis):
+        """The step's component on a sampled axis: its range, backward at its last sample."""
+        span = float(axis[-1] - axis[0])
+        return span if x < axis[-1] else -span
 
     def tied_x1(self, problem) -> set:
         """Compare Gamma at every feasible sample; returns the x1 values where
@@ -808,9 +812,10 @@ class TestTieBreak:
         tied = set()
         for i1, i2 in np.argwhere(gamma.feasible):
             x1, x2 = float(gamma.x1[i1]), float(gamma.x2[i2])
-            nudged = (self.nudged(x1, gamma.x1), self.nudged(x2, gamma.x2))
+            step = (self.step(x1, gamma.x1), self.step(x2, gamma.x2))
             for ia, alpha in enumerate(gamma.alpha):
-                ends, distinct = self.attaining_corners(problem.g, problem.parameters, x1, x2, float(alpha), nudged)
+                ends, distinct = self.attaining_corners(problem.g, problem.parameters, x1, x2, float(alpha), step,
+                                                        d_x1, d_x2)
                 if distinct:
                     tied.add(x1)
                 for end, at in zip((gamma.lower, gamma.upper), ends):
@@ -824,43 +829,75 @@ class TestTieBreak:
         problem = load_problem(self.SHIPPED / f"{name}.json")
         assert self.tied_x1(replace(problem, grid=GridSpec(9, 7, 4))) == (set() if name == "crisp_example" else {1.0})
 
-    def test_ties_on_the_upper_edge_nudge_backward(self):
+    def test_ties_on_the_upper_edge_step_backward(self):
         # ln(6 - x1) = 0 ties every beta at x1 = 5, the upper end of the box
         g_text = "ln(6 - x1)*beta*x2 + x2 + gamma"
         base = worked_problem(GridSpec(9, 7, 4))
         assert self.tied_x1(replace(base, g_text=g_text, g=parse(g_text, P))) == {5.0}
 
-    # 1e-9 at every integer x1 and negative one nudge away, so the tie-break
-    # fails wherever it runs
-    NUDGE_FAILS = "sqrt(cos(3.141592653589793*x1)^2 - 1 + 1e-9)"
+    @pytest.mark.parametrize("name", ["worked_example", "boundary_example"])
+    def test_nothing_is_evaluated_off_the_grid(self, name, monkeypatch):
+        # every x1 and x2 that verify binds, the tie-break's included, is a
+        # grid sample or the fixed coordinate of a boundary edge
+        problem = replace(load_problem(self.SHIPPED / f"{name}.json"), grid=GridSpec(9, 7, 4))
+        bound, original = {"x1": set(), "x2": set()}, bfpde.engine.evaluate
+
+        def recording(expr, binding):
+            for x, values in bound.items():
+                if x in binding:
+                    values.update(np.ravel(binding[x]).tolist())
+            return original(expr, binding)
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+        verdict = verify(problem)
+        monkeypatch.undo()
+        assert verdict.outcome == BF_SOLUTION
+        gamma, edges = verdict.curves[2], {c.fix: c.at for c in problem.boundary}
+        for x, axis in (("x1", gamma.x1), ("x2", gamma.x2)):
+            assert bound[x] == set(axis.tolist()) | ({edges[x]} if x in edges else set())
+
+    # 1e-9 at every integer x1 and negative between them, so an evaluation of
+    # G off the integer-x1 grid fails
+    OFF_GRID_FAILS = "sqrt(cos(3.141592653589793*x1)^2 - 1 + 1e-9)"
 
     @staticmethod
     def integer_x1_problem(g_text, f_text, params, box) -> ProblemSpec:
         """The problem on ``box`` sampled at x1 = 1, 2, ..., 5."""
         names = tuple(params)
         vector = FuzzyVector(tuple((n, TriangularFuzzyNumber(*t)) for n, t in params.items()))
-        return ProblemSpec("nudge", g_text, f_text, parse(g_text, names), parse(f_text, names), vector, box,
+        return ProblemSpec("integer-x1", g_text, f_text, parse(g_text, names), parse(f_text, names), vector, box,
                            GridSpec(5, 9, 5))
 
     @pytest.mark.parametrize("c", [(0.12, 0.2, 0.27), (0.2, 0.2, 0.2)])
     def test_fallback_samples_and_coinciding_corners_take_no_tie_break(self, c):
         # b's symmetric corners tie at every fallback sample, where the
         # lattice picks the point, and at alpha = 1 (and for a crisp c) the
-        # corners coincide; no tie-break runs, so its domain error never occurs
-        g_text = f"x2*exp(x1*((b - 1)^2 + c)) + {self.NUDGE_FAILS}"
+        # corners coincide; the lattice evaluates G on the grid only.  That
+        # no tie-break runs there is pinned by the evaluation shapes in
+        # TestVerify.test_coinciding_corners_and_fallback_samples_take_no_tie_break
+        g_text = f"x2*exp(x1*((b - 1)^2 + c)) + {self.OFF_GRID_FAILS}"
         problem = self.integer_x1_problem(g_text, "x2*((b - 1)^2 + c)", {"b": (0.7, 1.0, 1.3), "c": c},
                                           DomainBox(1.0, 5.0, 0.0, 2.0, x2_min_open=True))
         verdict = verify(problem)
         assert verdict.outcome == BF_SOLUTION
         assert verdict.curves[2].approximate.any()
 
-    def test_a_tie_break_error_fails_gamma_only(self):
-        # x1^beta ties every beta at x1 = 1; one nudge away the sqrt fails,
-        # so Gamma fails while the structure corners and the envelope hold
-        g_text = f"x1^beta * x2 + gamma + {self.NUDGE_FAILS}"
-        problem = self.integer_x1_problem(g_text, "beta * x2 / x1", {"beta": (0.25, 0.5, 0.75), "gamma": (0, 1, 2)},
+    WORKED = {"beta": (0.25, 0.5, 0.75), "gamma": (0, 1, 2)}
+
+    def test_the_tie_break_stays_on_the_grid(self):
+        # x1^beta ties every beta at x1 = 1; the tie-break scores the tied
+        # corners by the x-partials there, never by G off the grid
+        g_text = f"x1^beta * x2 + gamma + {self.OFF_GRID_FAILS}"
+        problem = self.integer_x1_problem(g_text, "beta * x2 / x1", self.WORKED,
                                           DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True))
-        error = "sqrt of negative value (in 'sqrt(cos(3.141592653589793 * x1)^2 - 1 + 1e-09)')"
+        assert verify(problem).outcome == BF_SOLUTION
+
+    def test_a_tie_break_error_fails_gamma_only(self):
+        # x1^beta ties every beta at x1 = 1, where dG/dx1 divides by zero, so
+        # Gamma fails while the structure corners and the envelope hold
+        problem = self.integer_x1_problem("x1^beta * x2 + gamma + sqrt(x1 - 1)", "beta * x2 / x1", self.WORKED,
+                                          DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True))
+        error = "division by zero (in '1 / (2 * sqrt(x1 - 1))')"
         verdict = verify(problem)
         assert verdict.outcome == STRUCTURE_FAILS
         assert verdict.report("structure").note == error
@@ -871,9 +908,10 @@ class TestTieBreak:
         assert str(raised.value) == error
 
     def test_a_lattice_error_comes_before_the_tie_break(self):
-        # at x1 = 2 the corners tie on the corner route; at the other samples
-        # the lattice meets (b - 0.9)^2 < 1e-4 first, which fails Y and Gamma
-        g_text = f"x2*(1 + (x1 - 2)*sqrt((b - 0.9)^2 - 0.0001)) + {self.NUDGE_FAILS} + 10"
+        # at x1 = 2 the corners tie on the corner route, and dG/dx1 divides by
+        # zero in the last term; at the other samples the lattice meets
+        # (b - 0.9)^2 < 1e-4 first, which fails Y and Gamma
+        g_text = "x2*(1 + (x1 - 2)*sqrt((b - 0.9)^2 - 0.0001)) + sqrt((x1 - 2)^2) + 10"
         problem = self.integer_x1_problem(g_text, "x2", {"b": (0.7, 1.0, 1.3)}, DomainBox(1.0, 5.0, 1.0, 2.0))
         error = "sqrt of negative value (in 'sqrt((b - 0.9)^2 - 0.0001)')"
         assert verify(problem).report("structure").note == error
@@ -1149,6 +1187,19 @@ class TestNonFinite:
         box = DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("1 - x1 * x2"))
         report = check_structure(p.g, p.parameters, box, p.grid)
         assert "non-finite" not in report.note
+
+    @pytest.mark.parametrize("x1_min, n_x1", [
+        (3.0, 5),
+        pytest.param(1.0, 9, marks=pytest.mark.xfail(strict=True, reason="a domain error outside the constraint "
+                                                                          "fails structure (known defect)")),
+    ], ids=["box-cut", "constraint-cut"])
+    def test_infeasible_domain_error_is_ignored(self, x1_min, n_x1):
+        # sqrt(x1 - 2) fails at x1 < 2, which the constraint x1 >= 3 cuts
+        # away; both grids have the feasible x1 samples 3, 3.5, ..., 5
+        g_text = "x1^beta * x2 + gamma + sqrt(x1 - 2) - sqrt(x1 - 2)"
+        base = worked_problem(GridSpec(n_x1, 9, 3))
+        box = DomainBox(x1_min, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("x1 - 3"))
+        assert verify(replace(base, g_text=g_text, g=parse(g_text, P), box=box)).outcome == BF_SOLUTION
 
     def test_overflow_outside_the_constraint_warns_nothing(self):
         # every feasible value is finite; the checks and the fallback Gamma
