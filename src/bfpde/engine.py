@@ -19,10 +19,16 @@ and boundary conditions.
 Envelope strategy
 -----------------
 Each alpha slice of the grid is visited once per expression; for G that one
-candidate pass serves the structure check, the Y envelope and Gamma.  A
-parameter whose cut has no width (lo == hi: a crisp one, or any at alpha = 1)
-is a constant of the slice, so a slice's table of cut-box corners spans its m
-live parameters, a leading array axis that every stage reading it shares.
+candidate pass serves the structure check, the Y envelope and Gamma.  Every
+extreme is read from one kind of table, the vertex method of Dong & Shah over
+some points of the cut box (:func:`_table`): a parameter whose cut has no width
+(lo == hi: a crisp one, or any at alpha = 1), or that does not occur in the
+expression, is one value; a parameter certified one-signed at every sample of
+the table's group is pinned per sample, at the cut end its sign makes the
+expression least (the min block) or greatest (the max block); every other one
+spans 2 points (the corners) or, on the dense fallback, a lattice.  One
+evaluator (:func:`_values`) and one selector (:func:`_extremes`) serve every
+table.
 
 Before the first slice, each partial of the expression is enclosed by interval
 arithmetic over the alpha = 0 cut box, which holds every cut, so a sign it
@@ -30,35 +36,32 @@ certifies at a sample holds there in every slice.  A sample is settled when
 every parameter live at alpha = 0 has a certified sign there or does not occur
 in the expression: the expression is monotone in each parameter there.
 
-Structure: G and dG/dx2 are evaluated over every corner at alpha = 0.  Above
-it the scan runs on the sub-mesh of the samples where G or dG/dx2 (whose
-partials the candidate pass certifies too) is not proved monotone, or where a
-corner value was not finite at alpha = 0: elsewhere no later corner, inside
-the alpha = 0 box, is more extreme than the corners already scanned, and the
-report keeps the first worst in alpha order.
+Envelope: at a settled sample the table pins every live parameter, so it has
+one column per block and nothing to enumerate (the certified route).  The
+other samples take the corner route, on the sub-mesh of their rows and
+columns, with a table that pins the parameters certified on all of it; a live
+parameter's partial is probed over the box center and all the corners, unless
+it is certified at every sample or free of the parameters.  If no parameter
+shows strictly opposite signs, the extremum is attained at a corner and the
+envelope is exact.  Otherwise the sample falls back to a table at lattice
+density over the fallback samples and is flagged approximate.  A sample whose
+pinned ends tie or cross, which only rounding does, loses its pins for that
+slice (a settled one joins the corner route).
 
-Envelope: at a settled sample each end is the expression at one corner, each
-parameter at the cut end its certified sign makes least (lower end) or
-greatest (upper end): two points per slice, whatever m (the certified route).
-The other samples take the corner route, on the sub-mesh of their rows and
-columns; so does, in a slice, a settled sample whose two pinned ends tie or
-cross while a parameter of the expression has width, which only rounding
-does.  A live parameter's partial is probed over the box center and the
-corners, unless it is certified at every sample or free of the parameters.
-If no parameter shows strictly opposite signs, the extremum is attained at a
-corner and the envelope is the exact min/max of the corner values.
-Otherwise the sample falls back to the extremes of G over a dense lattice and
-is flagged approximate.  The lattice spans only the live axes left
-uncertified: a parameter certified one-signed at every fallback sample of a
-slice is pinned at the cut end attaining each sample's min, and its max.
+Structure: the least of G is the min block's end of the corner-density tables
+the envelope reads; dG/dx2's least and greatest come from its own table, at
+every sample at alpha = 0 and above it only on the sub-mesh where G or dG/dx2
+(whose partials the candidate pass certifies too) is not proved monotone or an
+end was not finite at alpha = 0: elsewhere no later cut, inside the alpha = 0
+box, is more extreme, and the report keeps the first worst in alpha order,
+then in sample order.
 
-Point: each envelope end carries the parameter point that attains it: on the
-certified route, its sign-pinned corner; at a fallback sample, the first
-lattice point attaining it; otherwise the first extremal corner or, where
-distinct corners tie, the tied corner extremal in d . grad_x G along one step
-d into the sampled box, which by Danskin's theorem is the envelope's one-sided
+Point: each envelope end carries the parameter point that attains it: the
+first column of its block that does or, where distinct corners tie on the
+corner route, the tied corner extremal in d . grad_x G along one step d into
+the sampled box, which by Danskin's theorem is the envelope's one-sided
 derivative: the tie-break evaluates the x-partials at grid samples, never G
-off the grid.  One selector serves the lattice sweep and the tie-break.
+off the grid.
 
 Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
 likewise for the max), so Gamma substitutes those points into the symbolic
@@ -68,9 +71,10 @@ Checks that consume approximate samples run at a widened tolerance
 (``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
 as the lattice spacing.  A NaN or infinite corner value, envelope or Gamma
 value at a feasible sample, and a domain error of G or dG/dx2 at a cut-box
-corner, are structure evidence, never passed on to the checks.  Every check,
-structure included, reports its first worst violation, a NaN beating any
-number (:func:`_first_worst`).  The four curve checks end in one gate that
+corner and a feasible sample, are structure evidence, never passed on to the
+checks; an evaluation fails only where it fails at a feasible sample.  Every
+check, structure included, reports its first worst violation, a NaN beating
+any number (:func:`_first_worst`).  The four curve checks end in one gate that
 turns their parts' worst residuals into the report, so a NaN or overflowing
 residual (finite values too far apart to subtract) is structure evidence with
 its location in each.
@@ -78,9 +82,9 @@ its location in each.
 The same pass, in envelope-only mode, builds every other envelope the engine
 uses: the F envelope, the candidate and target envelopes on a boundary edge
 (the grid with a single point on the fixed axis) and the point envelope of
-:func:`envelope` (a 1x1x1 grid); it builds no parameter points.  Both modes
-may enumerate 2^k cut-box corners, so every envelope takes at most
-``CORNER_PARAM_LIMIT`` parameters.
+:func:`envelope` (a 1x1x1 grid); it builds no parameter points.  The sign
+probe of both modes may enumerate 2^k cut-box corners, so every envelope takes
+at most ``CORNER_PARAM_LIMIT`` parameters.
 """
 
 from __future__ import annotations
@@ -373,144 +377,151 @@ def _as_mesh(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
-def _box_lattice(los: np.ndarray, his: np.ndarray, m: int, signs: np.ndarray):
-    """The dense-fallback table at q samples: one ``(M,)`` or ``(q, M)`` row per
-    parameter, and the column masks the min and the max may take (None: all).
-    It spans the live axes uncertified at some sample (``signs``, ``(k, q)``
-    certified signs, 0 where none), endpoints included, with the density of a
-    budget-capped lattice over all k axes.  A parameter certified at every
-    sample is pinned per sample at its cut end where expr is least (min half)
-    and greatest (max half), the lattice endpoint of the full lattice's optimum."""
-    pinned = (los < his) & (signs != 0).all(axis=1)
-    m_eff = max(2, min(m, int(BOX_SAMPLE_BUDGET ** (1.0 / len(los)))))
-    axes = [np.linspace(lo, hi, m_eff if lo < hi and not pin else 1) for lo, hi, pin in zip(los, his, pinned)]
-    lattice = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray):
+    """The parameter points at which a group of samples evaluates an
+    expression, columns first: one row per parameter, an array that
+    broadcasts to ``(C,) + samples`` (one array where every parameter is
+    pinned), and the number of blocks, 2 (the min block, then the max block)
+    where some parameter is pinned and 1 (serving both ends) where none is.
+    ``signs`` are the certified signs at the group's samples, ``(k,) +
+    samples``, 0 where none.  A live parameter (lo < hi) certified at every
+    sample is pinned per sample: at the cut end its sign makes the expression
+    least in each column of the min block, greatest in each of the max block.
+    Every other live one spans ``density`` points, endpoints included, the
+    first parameter fastest (2 points: the cut-box corners; more: a lattice,
+    capped so that one over all k parameters would hold at most
+    ``BOX_SAMPLE_BUDGET`` points), in a row without sample axes.  A
+    degenerate one is its one value."""
+    pinned = (los < his) & signs.reshape(los.size, -1).all(axis=1)
+    spans = (los < his) & ~pinned
+    if pinned.any():  # each pinned parameter's (min end, max end) per sample
+        ab = np.stack([los, his], 1)[pinned][(...,) + (None,) * (signs.ndim - 1)]
+        ends = np.where((signs[pinned] > 0)[:, None], ab, ab[:, ::-1])
+        if pinned.all():  # one column per block, and the rows one array: a point is a view
+            return ends, 2
+    n = min(density, max(2, int(BOX_SAMPLE_BUDGET ** (1.0 / los.size)))) if spans.any() else 1
+    columns, ones = np.arange(n ** int(spans.sum())), (1,) * (signs.ndim - 1)
+    # the corners are the cut ends themselves (linspace's step overflows where
+    # hi - lo does); a one-value row binds like a scalar: numpy's power, for
+    # one, takes another loop for a full array of one value, which can differ
+    # in the last bit
+    rows = [((np.array([lo, hi]) if n == 2 else np.linspace(lo, hi, n))[columns // n ** before % n] if span
+             else np.array([lo])).reshape((-1,) + ones) for lo, hi, span, before in zip(los, his, spans,
+                                                                                    np.cumsum(spans) - spans)]
     if not pinned.any():
-        return lattice, None
-    ends = np.where((signs > 0)[..., None], np.stack([los, his], 1)[:, None], np.stack([his, los], 1)[:, None])
-    half = np.arange(2 * lattice.shape[1]) < lattice.shape[1]
-    return [np.repeat(e, r.size, 1) if p else np.tile(r, 2) for e, p, r in zip(ends, pinned, lattice)], (half, ~half)
+        return rows, 1
+    for j, end in zip(np.flatnonzero(pinned), ends):
+        rows[j] = np.repeat(end, columns.size, axis=0) if columns.size > 1 else end
+    return [np.concatenate([row, row]) if span else row for row, span in zip(rows, spans)], 2
 
 
-def _corner_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """The ``(k, 2^m)`` corners of the cut box over its m live parameters
-    (lo < hi): corner c sets the i-th live parameter to its upper cut end when
-    bit i of c is set; a degenerate row holds its one value."""
-    live = np.flatnonzero(los < his)
-    bits = (np.arange(2 ** live.size) >> np.arange(live.size)[:, None]) & 1
-    corners = np.repeat(los[:, None], bits.shape[1], axis=1)
-    corners[live] = np.where(bits == 1, his[live, None], los[live, None])
-    return corners
+def _values(expr: Expression, names, rows, x1, x2, feas: np.ndarray) -> np.ndarray:
+    """expr at every column of a :func:`_table` and every sample of its group,
+    ``(C,) + feas.shape``: ``x1`` and ``x2`` bind the samples, a mesh
+    ((n1, 1) and (1, n2)) or a list ((q,) each), and ``feas`` marks the
+    feasible ones.  An evaluation error is retried at the feasible samples
+    alone, NaN at the others; if that fails too, the columns are replayed one
+    at a time and the first failing column's error is raised."""
+    shape = (max([len(row) for row in rows], default=1),) + feas.shape
 
-
-def _at_points(expr: Expression, names, points, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """expr at the ``(q,)`` samples (x1, x2) and M ``points`` (an (M,) or (q, M) row per parameter): (q, M)."""
-    binding = dict({"x1": x1[:, None], "x2": x2[:, None]}, **dict(zip(names, points)))
-    return np.broadcast_to(np.asarray(evaluate(expr, binding), dtype=float), (x1.size, np.shape(points[0])[-1]))
-
-
-def _extremes_at(w: np.ndarray, points, allowed=None):
-    """The min and the max of each row of the ``(q, M)`` values ``w`` at the
-    :func:`_at_points` ``points``, and the ``(k, q)`` points attaining them (the
-    first in column order); ``allowed``, a pair of masks, restricts the min
-    and the max to the points it marks."""
-    lo_w, hi_w = (w, w) if allowed is None else (np.where(allowed[0], w, np.inf), np.where(allowed[1], w, -np.inf))
-    rows, at = np.arange(w.shape[0]), (lo_w.argmin(axis=1), hi_w.argmax(axis=1))
-    optima = [np.stack([np.broadcast_to(r, w.shape)[rows, a] for r in points]) for a in at]
-    return w[rows, at[0]], w[rows, at[1]], optima
-
-
-def _corner_values(exprs, names, points: np.ndarray, base: dict, shape) -> list[np.ndarray]:
-    """Each expression at every column of the ``(k, n)`` parameter ``points``
-    (the corners, or the sign probes), as read-only ``(n,) + shape`` arrays from
-    one evaluation over a leading probe axis.  A degenerate cut (lo == hi, a
-    row of one value) binds as a scalar, and an evaluation error replays the
-    probes one at a time, so values and errors are those of a per-probe loop."""
-    degenerate = points.min(axis=1) == points.max(axis=1)
-
-    def bind(cols) -> dict:
-        return dict(base, **{name: points[j, 0] if degenerate[j] else points[j, cols][:, None, None]
-                             for j, name in enumerate(names)})
+    def at_feasible(cols) -> dict:
+        binding = {name: np.broadcast_to(row, shape)[cols][:, feas] for name, row in zip(names, rows)}
+        return dict(binding, x1=np.broadcast_to(x1, feas.shape)[feas], x2=np.broadcast_to(x2, feas.shape)[feas])
 
     try:
-        binding = bind(slice(None))
-        return [_as_mesh(evaluate(expr, binding), (points.shape[1],) + tuple(shape)) for expr in exprs]
+        return _as_mesh(evaluate(expr, dict(zip(names, rows), x1=x1, x2=x2)), shape)
     except EvalError:
-        for c in range(points.shape[1]):
-            for expr in exprs:
-                evaluate(expr, bind(slice(c, c + 1)))
+        values = np.full(shape, np.nan)
+    try:
+        values[:, feas] = _as_mesh(evaluate(expr, at_feasible(slice(None))), (shape[0], int(feas.sum())))
+    except EvalError:
+        for c in range(shape[0]):
+            evaluate(expr, at_feasible(slice(c, c + 1)))
         raise
+    return values
 
 
-def _sign_fallback(partials, names, corners: np.ndarray, base: dict, shape) -> np.ndarray:
+def _extremes(values: np.ndarray, blocks: int, rows=None, allowed=None):
+    """Per sample, the least of a :func:`_table`'s ``values`` (columns first)
+    in its min block and the greatest in its max block, over the columns
+    ``allowed`` marks (one mask per block) if given.  For each end: its value
+    and, given the table's ``rows``, whether more than one column attains it
+    and the ``(k,) + samples`` point at the first column attaining it (the
+    first NaN one where the end is NaN)."""
+    width, ends = len(values) // blocks, []
+    for b, (reduce, arg, pad) in enumerate(((np.min, np.argmin, np.inf), (np.max, np.argmax, -np.inf))):
+        offset = width * b * (blocks - 1)
+        block = values[offset:offset + width]
+        if allowed is not None:
+            block = np.where(allowed[b], block, pad)
+        end, first, tie = block[0], offset, np.zeros(block.shape[1:], dtype=bool)
+        if width > 1:
+            end = reduce(block, axis=0)
+        if width > 1 and rows is not None:  # argmin's pick is the first NaN where the end is NaN
+            first, tie = offset + arg(block, axis=0), (block == end).sum(axis=0) > 1
+        if rows is None:
+            point = None
+        elif isinstance(rows, np.ndarray):  # one column per block: a view
+            point = rows[:, first]
+        else:  # a row without sample axes varies by column; one with them is pinned, one value per block
+            point = np.stack([np.broadcast_to(row.reshape(-1)[first] if row.size == len(row) > 1 else
+                                              row[offset % len(row)], end.shape) for row in rows])
+        ends.append((end, tie, point))
+    return ends
+
+
+def _reduce(expr: Expression, names, los, his, density: int, signs, x1, x2, feas, with_points: bool):
+    """expr's :func:`_table` at ``density`` over a group of samples, its
+    values and :func:`_extremes` (points too if ``with_points``).  Where the
+    pinned ends tie or cross, which only rounding does, the sample loses its
+    pins and the group's table is built again, once: a group with such a
+    sample pins nothing."""
+    while True:
+        rows, blocks = _table(los, his, density, signs)
+        values = _values(expr, names, rows, x1, x2, feas)
+        low, high = _extremes(values, blocks, rows if with_points else None)
+        crossed = blocks == 2 and ~(low[0] < high[0])
+        if not np.any(crossed):
+            return rows, blocks, values, low, high
+        signs = np.where(crossed, 0, signs)
+
+
+def _sign_fallback(partials, names, los, his, x1, x2, feas) -> np.ndarray:
     """Samples whose extremum may lie inside the box: some live parameter's
-    partial (in ``partials``, None where its sign needs no probe) takes strictly
-    opposite signs across the box center and the :func:`_corner_points`
-    ``corners``, whose first and last columns are the cut ends."""
-    los, his = corners[:, 0], corners[:, -1]
-    live = los < his
-    probes = np.hstack([corners[:, :1], corners])  # the box center, then the corners
-    probes[live, 0] = 0.5 * los[live] + 0.5 * his[live]
-    fallback = np.zeros(shape, dtype=bool)
-    for partial in (d for d, on in zip(partials, live) if on and d is not None):
-        (d,) = _corner_values((partial,), names, probes, base, shape)
+    partial (in ``partials``, None where its sign needs no probe) takes
+    strictly opposite signs across the box center and the 2^m corners."""
+    corners, _ = _table(los, his, 2, np.zeros((los.size,) + (1,) * feas.ndim, dtype=np.int8))
+    probes = [np.concatenate([np.full_like(row[:1], 0.5 * lo + 0.5 * hi), row]) if lo < hi else row
+              for row, lo, hi in zip(corners, los, his)]
+    fallback = np.zeros(feas.shape, dtype=bool)
+    for partial in (d for d, lo, hi in zip(partials, los, his) if lo < hi and d is not None):
+        d = _values(partial, names, probes, x1, x2, feas)
         fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
 
 
-def _certified_signs(partials, params: FuzzyVector, X1, X2, shape) -> np.ndarray:
-    """Each partial's sign at every sample, certified by interval arithmetic on the alpha = 0 cut box: +1, -1 or 0."""
+def _sub_mesh(mask: np.ndarray, x1p: np.ndarray, x2p: np.ndarray):
+    """The sub-mesh of the rows and the columns of the ``(n1, n2)`` samples
+    that hold a marked one: its index (a view where it is the whole mesh) and
+    its x1 ``(n, 1)`` and x2 ``(1, m)`` axes."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    at = np.s_[:, :] if (rows.size, cols.size) == mask.shape else np.ix_(rows, cols)
+    return at, x1p[rows][:, None], x2p[cols][None, :]
+
+
+def _settled(expr: Expression, partials, params: FuzzyVector, X1, X2, shape):
+    """Each partial's sign at every sample, certified by interval arithmetic on
+    the alpha = 0 cut box (+1, -1 or 0); the samples where those signs prove
+    expr monotone in each parameter over that box, where every parameter live
+    there that occurs in expr has a sign; and the mask of the parameters that
+    occur in expr."""
     los, his = _cut_arrays(params, 0.0)
     box = dict({"x1": (X1, X1), "x2": (X2, X2)}, **{name: (lo, hi) for name, lo, hi in zip(params.names, los, his)})
     ends = [interval_eval(d, box) if lo < hi and free_variables(d) <= box.keys() else (0.0, 0.0)
             for d, lo, hi in zip(partials, los, his)]  # 0 for an unbound name: it raises where evaluated
-    return np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
-
-
-def _sub_mesh(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and the columns of the ``(n1, n2)`` samples that hold a marked one."""
-    return np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
-
-
-def _settled(expr: Expression, partials, params: FuzzyVector, X1, X2, shape):
-    """The partials' certified signs (:func:`_certified_signs`), the samples
-    where they prove expr monotone in each parameter over the alpha = 0 box,
-    and the mask of the parameters that proof needs: those live there that
-    occur in expr, each of which has a certified sign at a settled sample."""
-    signs = _certified_signs(partials, params, X1, X2, shape)
-    los, his = _cut_arrays(params, 0.0)
-    used = free_variables(expr)
-    needed = np.array([lo < hi and name in used for name, lo, hi in zip(params.names, los, his)], dtype=bool)
-    return signs, (signs[needed] != 0).all(axis=0), needed
-
-
-def _certified_ends(expr: Expression, names, signs: np.ndarray, los: np.ndarray, his: np.ndarray, base: dict, shape):
-    """Both envelope ends of expr at every sample its certified ``signs``
-    settle, and the ``(k,) + shape`` points attaining them: the lower end's
-    point puts each parameter at its lo cut end where the sign is > 0 and at
-    hi where it is < 0, the upper end's the reverse, and one with no sign (it
-    does not occur in expr) at lo.  One evaluation over a leading axis of the
-    two points; a degenerate cut binds as a scalar, as in the corner table."""
-    at_hi = np.stack([signs < 0, signs > 0], axis=1)  # (k, 2) + shape: the lower end's, then the upper end's
-    points = np.where(at_hi, his[:, None, None, None], los[:, None, None, None])
-    binding = dict(base, **{name: points[j] if los[j] < his[j] else los[j] for j, name in enumerate(names)})
-    ends = _as_mesh(evaluate(expr, binding), (2,) + tuple(shape))
-    return ends[0], ends[1], [points[:, 0], points[:, 1]]
-
-
-def _first_extremal(values: np.ndarray, end: np.ndarray):
-    """Per sample, the first of the ``(C,) + shape`` corner values equal to
-    ``end`` (argmin's or argmax's pick, found without a strided reduction) and
-    whether more than one is; where none is (a NaN end, or a fallback sample's
-    lattice end), the first NaN corner, else corner 0."""
-    hit = values == end
-    first, open_ = np.zeros(end.shape, dtype=np.intp), np.ones(end.shape, dtype=bool)
-    for h in hit:
-        open_ &= ~h
-        first += open_
-    if open_.any():
-        first[open_] = np.isnan(values[:, open_]).argmax(axis=0)
-    return first, hit.sum(axis=0) > 1
+    signs = np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
+    uses = np.array([name in free_variables(expr) for name in params.names], dtype=bool)
+    return signs, (signs[(los < his) & uses] != 0).all(axis=0), uses
 
 
 def _non_finite(arrays: dict, feas: np.ndarray, x1p, x2p, alpha: float) -> NonFiniteValueError | None:
@@ -564,48 +575,22 @@ def _grid_samples(box: DomainBox, grid: GridSpec):
     return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
 
 
-def _envelope_stage(expr, names, probed, signs, corners, values, base: dict, x1p, x2p):
-    """One slice's envelope of ``expr``: the min and max of its corner ``values``
-    (evaluated here when None), or, at the samples where a sign probe of the
-    ``probed`` partials falls back, of the dense lattice that the partials'
-    certified ``signs`` pin.  Returns both ends, the fallback mask, the
-    lattice points attaining the ends there (None if no sample falls back) and
-    the corner values."""
-    shape = (x1p.size, x2p.size)
-    fb = _sign_fallback(probed, names, corners, base, shape)
-    if values is None:
-        (values,) = _corner_values((expr,), names, corners, base, shape)
-    lower, upper, optima = values.min(axis=0), values.max(axis=0), None
-    if fb.any():
-        i1, i2 = np.nonzero(fb)
-        table, allowed = _box_lattice(corners[:, 0], corners[:, -1], FALLBACK_BOX_SAMPLES, signs[:, i1, i2])
-        w = _at_points(expr, names, table, x1p[i1], x2p[i2])
-        lower[i1, i2], upper[i1, i2], optima = _extremes_at(w, table, allowed)
-    return lower, upper, fb, optima, values
-
-
-def _point_stage(x_partials, names, corners, values, lower, upper, fb, optima, x1p, x2p, axes) -> list[np.ndarray]:
-    """The parameter point attaining each end of one slice's envelope, a
-    ``(k,) + shape`` array each: the lattice ``optima`` at the fallback
-    samples ``fb``, else the first extremal corner or, where distinct corners
-    tie (e.g. the partial vanishes along an axis), the first tied corner whose
-    d . grad_x G (``x_partials``: dG/dx1, dG/dx2) is least for the lower end
-    and greatest for the upper, d being the range of each sampled axis in
-    ``axes`` (backward at its last sample).  ``x1p`` and ``x2p`` are the
-    samples of the slice's route."""
-    (first_lo, tie_lo), (first_hi, tie_hi) = _first_extremal(values, lower), _first_extremal(values, upper)
-    points = [np.take(corners, first_lo, axis=1), np.take(corners, first_hi, axis=1)]
-    if optima is not None:
-        points[0][:, fb], points[1][:, fb] = optima
-    t1, t2 = np.nonzero(~fb & (tie_lo | tie_hi))
-    if t1.size:
-        tied, x = values[:, t1, t2].T, (x1p[t1], x2p[t2])
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at an infeasible sample
-            score = sum(np.where(xs < a[-1], a[-1] - a[0], a[0] - a[-1])[:, None] * _at_points(d, names, corners, *x)
-                        for xs, a, d in zip(x, axes, x_partials))
-        *_, optima = _extremes_at(score, corners, (tied == lower[t1, t2, None], tied == upper[t1, t2, None]))
-        points[0][:, t1, t2], points[1][:, t1, t2] = optima
-    return points
+def _tie_break(x_partials, names, route, tied, x1r, x2r, feas, axes) -> list[np.ndarray]:
+    """The points of the corner route (``route``, its :func:`_reduce` on the
+    samples ``x1r``, ``x2r``) at the ``tied`` samples, where distinct columns
+    of one block tie for an end (e.g. the partial vanishes along an axis): the
+    first tied column whose d . grad_x G (``x_partials``: dG/dx1, dG/dx2) is
+    least for the lower end and greatest for the upper, d being the range of
+    each sampled axis in ``axes`` (backward at its last sample)."""
+    rows, blocks, values, low, high = route
+    rows = [row[:, tied] if row.size > len(row) else row.reshape(len(row), 1) for row in rows]
+    x = [np.broadcast_to(xr, tied.shape)[tied] for xr in (x1r, x2r)]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at an infeasible sample
+        score = sum(np.where(xs < a[-1], a[-1] - a[0], a[0] - a[-1]) * _values(d, names, rows, *x, feas[tied])
+                    for xs, a, d in zip(x, axes, x_partials))
+    width = len(values) // blocks
+    allowed = [values[width * b * (blocks - 1):][:width, tied] == end[0][tied] for b, end in enumerate((low, high))]
+    return [end[2] for end in _extremes(score, blocks, rows, allowed)]
 
 
 def _gamma_stage(x_partials, names, points, base: dict, feas, x1p, x2p, alpha: float, denom_tol: float):
@@ -617,8 +602,7 @@ def _gamma_stage(x_partials, names, points, base: dict, feas, x1p, x2p, alpha: f
     first such feasible sample."""
     ends = []
     for point in points:
-        binding = dict(base, **{name: point[j] for j, name in enumerate(names)})
-        num, den = (_as_mesh(evaluate(d, binding), feas.shape) for d in x_partials)
+        num, den = (_values(d, names, point[:, None], base["x1"], base["x2"], feas)[0] for d in x_partials)
         bad = feas & (np.abs(den) < denom_tol)
         if bad.any():
             pos = np.argwhere(bad)[0]
@@ -650,12 +634,12 @@ def _alpha_pass(
     ``(x1p.size, x2p.size)`` mask of the samples the checks consume.  The pass
     builds the envelope curve of ``expr`` under ``role``; a non-finite value
     there is named after ``label`` (default "<role> envelope").  In candidate
-    mode it also builds the structure check, from ``expr`` and its x2-partial
-    at every corner the scan does not skip (those of every sample at alpha =
-    0), and runs the point and the Gamma stage after the envelope stage.
-    Errors are kept per part in ``errors``, not raised: a domain error at a
-    corner (a pinned one included) fails every part, one in the envelope
-    stage both curves, one in the point or the Gamma stage Gamma only, and a
+    mode it also builds the structure check, from the least value of the
+    tables of ``expr`` and the extremes of its x2-partial's own table, and
+    runs the tie-break and the Gamma stage after the envelope.  Errors are
+    kept per part in ``errors``, not raised: a domain error in a table at
+    corner density fails every part, one in the sign probe or the lattice both
+    curves, one in the tie-break or the Gamma stage Gamma only, and a
     non-finite envelope the envelope only.
     """
     names = params.names
@@ -666,87 +650,96 @@ def _alpha_pass(
     shape, base = (x1p.size, x2p.size), {"x1": x1p[:, None], "x2": x2p[None, :]}
     partials = [differentiate(expr, name) for name in names]
     # a sign certified on the alpha = 0 box, which holds every cut, holds in
-    # every slice: it needs no probe, and where every parameter has one (or
-    # does not occur in expr) the envelope ends sit on sign-pinned corners
-    signs, settled, needed = _settled(expr, partials, params, base["x1"], base["x2"], shape)
+    # every slice: it needs no probe, and at a settled sample the table pins
+    # every live parameter of expr.  The certified table spans the slice: an
+    # open sample, which the corner route overwrites, takes lo for the min
+    # and hi for the max where it has no sign
+    signs, settled, uses = _settled(expr, partials, params, base["x1"], base["x2"], shape)
     probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
+    pins = np.where(signs == 0, np.int8(1), signs)
     parts = ("envelope", "gamma") if candidate else ("envelope",)
     # alpha-major buffers: every slice lands in one contiguous block
     planes = (alphas.size,) + shape
     env, approx = (np.empty(planes), np.empty(planes)), np.zeros(planes, dtype=bool)
-    scan = None
     if candidate:
         x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
-        # dG/dx2 proved monotone too; only worth proving where G is
-        d2_settled = settled if not settled.any() else _settled(
-            x_partials[1], [differentiate(x_partials[1], name) for name in names], params, base["x1"], base["x2"],
-            shape)[1]
-        # the structure scan's sub-mesh: every sample, until the alpha = 0 scan
-        # bounds the corners of every later cut
-        scan = np.arange(shape[0]), np.arange(shape[1])
+        d2 = x_partials[1]
+        d2_signs, d2_settled, d2_uses = _settled(d2, [differentiate(d2, name) for name in names], params,
+                                                 base["x1"], base["x2"], shape)
+        # the structure scan's sub-mesh: every sample, until alpha = 0 bounds
+        # every later cut where G and dG/dx2 are proved monotone
+        scan = _sub_mesh(np.ones(shape, dtype=bool), x1p, x2p)
         gam = np.empty(planes), np.empty(planes)
     result, slots = _AlphaPass(), []
     what = label or f"{role} envelope"
     for ki, alpha in enumerate(alphas.tolist()):
         los, his = _cut_arrays(params, alpha)
-        corners, values, pinned, scanned = _corner_points(los, his), None, None, scan
+        his_e = np.where(uses, his, los)  # a parameter absent from expr is bound at lo
+        lower, upper = env[0][ki], env[1][ki]
+        points, open_ = [np.empty((len(names),) + shape) for _ in range(2)], ~settled
         try:
-            if candidate and scan[0].size:
-                x1s, x2s = x1p[scan[0]], x2p[scan[1]]
-                values, d2 = _corner_values((expr, x_partials[1]), names, corners,
-                                            {"x1": x1s[:, None], "x2": x2s[None, :]}, (x1s.size, x2s.size))
-            if settled.any() and not all(part in result.errors for part in parts):
-                pinned = _certified_ends(expr, names, signs, los, his, base, shape)
+            if settled.any():
+                table, blocks = _table(los, his_e, 2, pins)
+                low, high = _extremes(_values(expr, names, table, base["x1"], base["x2"], feas), blocks,
+                                      table if candidate else None)
+                lower[:], upper[:], points = low[0], high[0], [low[2], high[2]]
+                open_ |= (blocks == 2) & ~(low[0] < high[0])  # pinned ends that tie or cross lose their pins
+            route = None
+            if open_.any():  # the corner route, on the sub-mesh of the open samples' rows and columns
+                at, x1r, x2r = _sub_mesh(open_, x1p, x2p)
+                signs_r = np.where(open_[at] & settled[at], 0, signs[(slice(None),) + at])
+                route = _reduce(expr, names, los, his_e, 2, signs_r, x1r, x2r, feas[at], candidate)
+                lower[at], upper[at] = route[3][0], route[4][0]
+            if candidate and scan[1].size:
+                (sub, x1s, x2s), feas_s = scan, feas[scan[0]]
+                d2_ends = np.stack([end[0] for end in _reduce(d2, names, los, np.where(d2_uses, his, los), 2,
+                                                               d2_signs[(slice(None),) + sub], x1s, x2s, feas_s,
+                                                               False)[3:]])
+                # the tables' ends, before the lattice: a table value that is
+                # NaN or infinite makes an end so
+                g_ends, axes = np.stack([lower[sub], upper[sub]]), (x1s.ravel(), x2s.ravel())
+                finite = np.isfinite(g_ends).all(axis=0) & np.isfinite(d2_ends).all(axis=0)
+                if not finite[feas_s].all():
+                    result.fail(("structure",), _non_finite({"cut-box corner value of G": g_ends,
+                                                             "cut-box corner value of dG/dx2": d2_ends}, feas_s, *axes,
+                                                            alpha))
+                slots.append((alpha, [_masked_worst([p], feas_s & finite, axes) for p in (-g_ends[0], -d2_ends[0],
+                                                                                         d2_ends[1])]))
+                if alpha == 0.0:
+                    # where G and dG/dx2 are proved monotone, a later cut lies
+                    # in this box and no table is more extreme than this one:
+                    # later scans skip those samples
+                    scan = _sub_mesh(~(settled & d2_settled & (finite | ~feas)), x1p, x2p)
         except EvalError as err:
             result.fail(("structure",) + parts if candidate else parts, err)
             continue
-        if candidate and scan[0].size:
-            feas_s = feas[np.ix_(*scan)]
-            finite = np.isfinite(values).all(axis=0) & np.isfinite(d2).all(axis=0)
-            if not finite[feas_s].all():
-                corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": d2}
-                result.fail(("structure",), _non_finite(corner_values, feas_s, x1s, x2s, alpha))
-            slots.append((alpha, _structure_slice(values, d2, feas_s & finite, x1s, x2s)))
-            if alpha == 0.0:
-                # where G and dG/dx2 are proved monotone, a later cut's corners
-                # lie in this box and none is more extreme than its corners:
-                # later scans skip the samples scanned here
-                scan = _sub_mesh(~(settled & d2_settled & (finite | ~feas)))
         if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
-        # the corner route takes the unsettled samples, and the settled ones
-        # whose pinned ends tie or cross while a parameter of expr has width,
-        # which only rounding does: on the sub-mesh of their rows and columns
-        open_ = ~settled
-        if pinned is not None and (los < his)[needed].any():
-            open_ |= ~(pinned[0] < pinned[1])
-        rows, cols = _sub_mesh(open_)
-        route = np.s_[:, :] if (rows.size, cols.size) == shape else np.ix_(rows, cols)  # a view where it can
-        x1r, x2r = x1p[rows], x2p[cols]
-        if rows.size:
-            if values is not None and not all(map(np.array_equal, scanned, (rows, cols))):
-                values = None  # the scan's corner table is not the route's
+        if route is not None:
+            feas_r, pts = feas[at], [route[3][2], route[4][2]]
             try:
-                lower, upper, fb, optima, values = _envelope_stage(
-                    expr, names, probed, signs[(slice(None),) + route], corners, values,
-                    {"x1": x1r[:, None], "x2": x2r[None, :]}, x1r, x2r)
+                fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, feas_r)
+                if fb.any():
+                    xf = [np.broadcast_to(x, fb.shape)[fb] for x in (x1r, x2r)]
+                    lattice = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb], *xf,
+                                      feas_r[fb], candidate)
+                    approx[ki][at] = fb  # the sub-mesh is sorted: its fallback samples keep their order
+                    lower[approx[ki]], upper[approx[ki]] = lattice[3][0], lattice[4][0]
+                    if candidate:
+                        pts[0][:, fb], pts[1][:, fb] = lattice[3][2], lattice[4][2]
             except EvalError as err:
                 result.fail(parts, err)
                 continue
-        if pinned is not None:  # else no sample settled, and the route spans the slice
-            env[0][ki], env[1][ki] = pinned[:2]
-        if rows.size:
-            env[0][ki][route], env[1][ki][route], approx[ki][route] = lower, upper, fb
-        result.fail(("envelope",), _non_finite({f"lower {what}": env[0][ki], f"upper {what}": env[1][ki]},
-                                               feas, x1p, x2p, alpha))
+        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, x1p, x2p, alpha))
         if not candidate or "gamma" in result.errors:
             continue
         try:
-            points = [np.empty((len(names),) + shape) for _ in range(2)] if pinned is None else pinned[2]
-            if rows.size:
-                pts = _point_stage(x_partials, names, corners, values, lower, upper, fb, optima, x1r, x2r, (x1p, x2p))
-                for full, part in zip(points, pts):
-                    full[(slice(None),) + route] = part
+            if route is not None:
+                tied = ~fb & (route[3][1] | route[4][1])
+                if tied.any():
+                    pts[0][:, tied], pts[1][:, tied] = _tie_break(x_partials, names, route, tied, x1r, x2r, feas_r,
+                                                                  (x1p, x2p))
+                points[0][(slice(None),) + at], points[1][(slice(None),) + at] = pts
             gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, base, feas, x1p, x2p, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             result.fail(("gamma",), err)
@@ -874,33 +867,21 @@ def _gate(name: str, results, tol: float, widened: bool) -> CheckReport:
     return CheckReport(name, passed, worst, loc, "; ".join(notes))
 
 
-def _structure_slice(values: np.ndarray, d2: np.ndarray, mask: np.ndarray, x1p: np.ndarray, x2p: np.ndarray):
-    """Min of G, min and max of dG/dx2 over one slice's corner values at the
-    masked samples, each with its (x1, x2) location (first in corner, then
-    sample order); ``x1p`` and ``x2p`` are the sample axes."""
-
-    def scan(a: np.ndarray, find_min: bool):
-        flat = a if mask.all() else np.where(mask, a, np.inf if find_min else -np.inf)
-        pos = np.unravel_index(int(flat.argmin() if find_min else flat.argmax()), flat.shape)
-        return float(flat[pos]), (float(x1p[pos[1]]), float(x2p[pos[2]]))
-
-    return scan(values, True), scan(d2, True), scan(d2, False)
-
-
 def _structure_report(slots, denom_tol: float, error: Exception | None) -> CheckReport:
-    """Fold the per-slice ``(alpha, extrema)`` into the structure report: the
-    first worst (:func:`_first_worst`) of the positivity and the sign
-    violation, each itself the first worst over the slices.  A non-finite or
-    domain-failing corner value (``error``) fails it."""
+    """Fold the per-slice ``(alpha, worst)`` into the structure report: each
+    slice's -min G, -min dG/dx2 and max dG/dx2 with their (x1, x2), as
+    :func:`_masked_worst` gives them.  The report is the first worst
+    (:func:`_first_worst`) of the positivity and the sign violation, each
+    itself the first worst over the slices.  A non-finite or domain-failing
+    corner value (``error``) fails it."""
 
-    def fold(k: int, sign: float):
-        # sign * the k-th extremum (negating a minimum is exact); a slice with
-        # no feasible finite corner scanned to +-inf and never wins
-        return _first_worst((sign * v if math.isfinite(v) else None, (*at, alpha))
-                            for alpha, extrema in slots for v, at in [extrema[k]]) or (-np.inf, None)
+    def fold(k: int):
+        # a slice with no feasible finite sample has no value and never wins
+        worsts = ((v, (*at, alpha)) for alpha, worst in slots for v, at in [worst[k]] if at)
+        return _first_worst(worsts) or (-np.inf, None)
 
     # pos_violation >= 0 iff G fails strict positivity
-    (pos_violation, g_loc), (neg_d_min, d_min_loc), (d_max, d_max_loc) = fold(0, -1.0), fold(1, -1.0), fold(2, 1.0)
+    (pos_violation, g_loc), (neg_d_min, d_min_loc), (d_max, d_max_loc) = fold(0), fold(1), fold(2)
     pos_ok = pos_violation < 0.0
     # one global sign: the better hypothesis decides the slack, the positive one on a tie
     positive = neg_d_min <= d_max

@@ -28,6 +28,7 @@ from bfpde.engine import (
     NearZeroDenominatorError,
     NonFiniteValueError,
     ProblemSpec,
+    ROLE_F,
     ROLE_GAMMA,
     Tolerances,
     Verdict,
@@ -592,33 +593,32 @@ class TestVerify:
     def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
         # Every evaluate call counts.  beta's partial x1^beta*ln(x1)*x2
         # vanishes on the x1 = 1 row, so the certificate settles every other
-        # sample, where each level evaluates G, and F, at the 2 sign-pinned
-        # corners.  Structure scans G and dG/dx2 over the 4 corners of every
-        # sample at alpha = 0, and only on the x1 = 1 row above it, where the
-        # corner route also probes beta (the center and 4 corners) and breaks
-        # ties (x1^beta = 1 ties every beta) by dG/dx1 and dG/dx2 over the 4
-        # corners; at alpha = 0 the route evaluates its own row of G's
-        # corners.  Gamma's numerator and denominator come at each end's
-        # point, on every sample of the 11 levels.
+        # sample, and each level evaluates G, and F, over the table that pins
+        # every parameter: one column per block.  The x1 = 1 row takes the
+        # corner route, whose table pins gamma there and spans beta's 2
+        # corners in each block; it probes beta (the center and the 4
+        # corners) and breaks ties (x1^beta = 1 ties every beta) by dG/dx1
+        # and dG/dx2 over that table.  Structure reads G's least value from
+        # those tables, and dG/dx2 = x1^beta from its own table, which spans
+        # beta (uncertified on the row), at every sample at alpha = 0 and on
+        # the row above it.  Gamma's numerator and denominator come at each
+        # end's point, on every sample of the 11 levels.
         calls = self._count_evaluations(monkeypatch, worked_problem())
         assert Counter(calls) == {
-            (4, 21, 21): 1, (4, 21, 1): 1,  # the alpha = 0 scan; dG/dx2 = x1^beta has no x2
-            (4, 1, 21): 9 + 1, (4, 1, 1): 9,  # the x1 = 1 row's scan on the 9 inner levels, and its route at 0
-            (1, 21): 1, (1, 1): 1,  # and at alpha = 1, where the corners coincide
-            (2, 21, 21): 2 * 10,  # G and F at the pinned corners below alpha = 1
-            (5, 1, 21): 10, (21, 4): 2 * 10,  # the probe, and the tie-break's x-partials, below alpha = 1
-            (21, 21): 4 * 11 + 2,  # Gamma, and G and F at alpha = 1, where every cut is a point
+            (2, 21, 21): 2 * 10,  # G and F on the certified route below alpha = 1
+            (4, 1, 21): 10, (5, 1, 21): 10, (4, 21): 2 * 10,  # the row's table, probe and tie-break below alpha = 1
+            (1, 21, 21): 2 + 4 * 11,  # G and F at alpha = 1, where every cut is a point; Gamma
+            (1, 1, 21): 1,  # the row at alpha = 1
+            (2, 21, 1): 1, (2, 1, 1): 9, (1, 1, 1): 1,  # dG/dx2's table, which has no x2
         }
 
-    def test_wide_corner_tables_only_at_alpha_zero(self, monkeypatch):
-        # every sample is settled at k = 12: the alpha = 0 structure scan is
-        # the one evaluation over the 2^12 corners (G's, then dG/dx2's, which
-        # has no x2), and each level evaluates G and F at 2 points
+    def test_no_wide_corner_table_at_any_alpha(self, monkeypatch):
+        # every sample is settled at k = 12, for G, dG/dx2 and F alike: every
+        # table pins all 12 parameters, so no evaluation spans the 2^12 corners
         problem = replace(self.many_params_problem(12), grid=GridSpec(21, 21, 6))
         calls = self._count_evaluations(monkeypatch, problem)
-        assert calls[:2] == [(4096, 21, 21), (4096, 21, 1)]
-        assert [shape for shape in calls[2:] if 4096 in shape] == []
-        assert calls.count((2, 21, 21)) == 2 * 5
+        assert [shape for shape in calls if 4096 in shape] == []
+        assert {shape[0] for shape in calls} == {1, 2}
 
     def test_the_probe_runs_only_on_unsettled_samples(self, monkeypatch):
         # boundary_example.json: beta's partial is uncertified only on the
@@ -662,21 +662,32 @@ class TestVerify:
 
     def test_many_params_probes_no_partial_of_g(self, monkeypatch):
         # the benchmark's many-params size: every partial of G is certified at
-        # every sample, so G's 2^6 corners are evaluated but never the 1 + 2^6 probes
+        # every sample, so neither G's 2^6 corners nor the 1 + 2^6 probes are
+        # evaluated
         problem = replace(self.many_params_problem(6), grid=GridSpec(41, 41, 21))
         calls = self._count_evaluations(monkeypatch, problem)
-        assert (64, 41, 41) in calls and (65, 41, 41) not in calls
+        assert (64, 41, 41) not in calls and (65, 41, 41) not in calls
 
     def test_coinciding_corners_and_fallback_samples_take_no_tie_break(self, monkeypatch):
-        # the tie-break evaluates dG/dx1 and dG/dx2 over all 2^k corners at
-        # the (q,) tied samples; corners that coincide (a crisp parameter,
-        # every alpha = 1 slice) tie nothing, and a fallback sample's point is
-        # the lattice's
+        # the tie-break evaluates dG/dx1 and dG/dx2 over the corner route's
+        # table at the (q,) tied samples, a (C, q) evaluation, which the
+        # worked example makes (see above); corners that coincide (a crisp
+        # parameter, every alpha = 1 slice) tie nothing, and a fallback
+        # sample's point is the lattice's
         crisp = load_problem(Path(__file__).resolve().parents[1] / "problems" / "crisp_example.json")
         for problem in (crisp, TestDanskinGamma.non_monotone_problem(), self.many_params_problem(3)):
-            corners = 2 ** len(problem.parameters)
-            calls = self._count_evaluations(monkeypatch, problem)
-            assert [shape for shape in calls if len(shape) == 2 and shape[1] == corners] == []
+            x_partials, calls = [differentiate(problem.g, x) for x in ("x1", "x2")], []
+            original = bfpde.engine.evaluate
+
+            def recording(expr, binding):
+                value = original(expr, binding)
+                calls.append((expr, np.shape(value)))
+                return value
+
+            monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+            assert verify(problem).outcome == BF_SOLUTION
+            monkeypatch.undo()
+            assert [shape for expr, shape in calls if expr in x_partials and len(shape) == 2] == []
 
     def test_failed_f_envelope_is_reported_once(self, monkeypatch):
         # F's envelope raises; equality is skipped instead of recomputing it
@@ -771,6 +782,19 @@ class TestVerify:
             with pytest.raises(EvalError) as raised:
                 run()
             assert str(raised.value) == error
+        # on the fallback lattice over b: sqrt((b - 1.2)^2 - 0.0001) fails
+        # first in tree order, at b = 1.20625, but the other sqrt fails first
+        # in column order, at b = 0.79375; no corner, probe or center fails
+        g_text = "x2*((b - 1)^2 + 1) + sqrt((b - 1.2)^2 - 0.0001) + sqrt((b - 0.8)^2 - 0.0001) + 10"
+        params = FuzzyVector((("b", TriangularFuzzyNumber(0.7, 1.0, 1.3)),))
+        problem = ProblemSpec("lattice-order", g_text, "x2", parse(g_text, ("b",)), parse("x2", ("b",)), params,
+                              DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(5, 5, 3))
+        error = "sqrt of negative value (in 'sqrt((b - 0.8)^2 - 0.0001)')"
+        assert verify(problem).report("structure").note == error
+        assert check_structure(problem.g, params, problem.box, problem.grid).passed
+        with pytest.raises(EvalError) as raised:
+            envelope_curve(problem.g, params, problem.box, problem.grid, "Y")
+        assert str(raised.value) == error
 
 
 class TestTieBreak:
@@ -984,7 +1008,9 @@ class TestCrispParameter:
 
 
 class TestProbeAxis:
-    """The corners and sign probes evaluated as one leading array axis give,
+    """A table without pins (:func:`bfpde.engine._table`, every parameter
+    uncertified) is the cut-box corners, and its values and the sign probes,
+    evaluated as one leading array axis (:func:`bfpde.engine._values`), give,
     bit for bit, what one plain evaluation per corner and per probe gives."""
 
     @staticmethod
@@ -1019,21 +1045,23 @@ class TestProbeAxis:
         names = params.names
         x1p, x2p, alphas = bfpde.engine.grid_axes(box, grid)
         base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
+        feas = np.ones(shape, dtype=bool)
         partials = [differentiate(g, name) for name in names]
         # as the pass does, leave out each partial certified at every sample
-        signs = bfpde.engine._certified_signs(partials, params, base["x1"], base["x2"], shape)
+        signs, _, _ = bfpde.engine._settled(g, partials, params, base["x1"], base["x2"], shape)
         probed = [None if s.all() else d for d, s in zip(partials, signs)]
         fallbacks = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
-            corners = bfpde.engine._corner_points(los, his)
-            got = bfpde.engine._corner_values(exprs, names, corners, base, shape)
-            for values, expr in zip(got, exprs):
+            table, blocks = bfpde.engine._table(los, his, 2, np.zeros((len(names), 1, 1), dtype=np.int8))
+            assert blocks == 1
+            for expr in exprs:
+                got = bfpde.engine._values(expr, names, table, base["x1"], base["x2"], feas)
                 want = self.per_corner_values(expr, names, los, his, base, shape)
-                assert np.ascontiguousarray(values).tobytes() == want.tobytes()
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
             want = self.per_probe_fallback(g, names, los, his, base, shape)
             for table in (partials, probed):
-                fallback = bfpde.engine._sign_fallback(table, names, corners, base, shape)
+                fallback = bfpde.engine._sign_fallback(table, names, los, his, base["x1"], base["x2"], feas)
                 assert np.array_equal(fallback, want)
             fallbacks += int(fallback.sum())
         return fallbacks
@@ -1081,14 +1109,14 @@ class TestSignCertificate:
                     v = np.broadcast_to(evaluate(d, binding), shape)
                     assert ((v > 0.0) | (sign <= 0)).all() and ((v < 0.0) | (sign >= 0)).all()
             # a settled sample takes no probe: probing would send it nowhere
-            fallback = bfpde.engine._sign_fallback(partials, names, bfpde.engine._corner_points(los, his), base, shape)
+            fallback = bfpde.engine._sign_fallback(partials, names, los, his, *base.values(), np.ones(shape, bool))
             assert not (fallback & settled).any()
         probed = []
         original = bfpde.engine._sign_fallback
 
         def against_every_partial(table, *args):
-            los, his = args[1][:, 0], args[1][:, -1]
-            probed.append(math.prod(args[3]) * sum(d is not None and lo < hi for d, lo, hi in zip(table, los, his)))
+            los, his, feas = args[1], args[2], args[-1]
+            probed.append(feas.size * sum(d is not None and lo < hi for d, lo, hi in zip(table, los, his)))
             fallback = original(table, *args)
             assert np.array_equal(fallback, original(partials, *args))
             return fallback
@@ -1188,14 +1216,11 @@ class TestNonFinite:
         report = check_structure(p.g, p.parameters, box, p.grid)
         assert "non-finite" not in report.note
 
-    @pytest.mark.parametrize("x1_min, n_x1", [
-        (3.0, 5),
-        pytest.param(1.0, 9, marks=pytest.mark.xfail(strict=True, reason="a domain error outside the constraint "
-                                                                          "fails structure (known defect)")),
-    ], ids=["box-cut", "constraint-cut"])
+    @pytest.mark.parametrize("x1_min, n_x1", [(3.0, 5), (1.0, 9)], ids=["box-cut", "constraint-cut"])
     def test_infeasible_domain_error_is_ignored(self, x1_min, n_x1):
         # sqrt(x1 - 2) fails at x1 < 2, which the constraint x1 >= 3 cuts
-        # away; both grids have the feasible x1 samples 3, 3.5, ..., 5
+        # away (its partial dG/dx1 there too, in Gamma); both grids have the
+        # feasible x1 samples 3, 3.5, ..., 5
         g_text = "x1^beta * x2 + gamma + sqrt(x1 - 2) - sqrt(x1 - 2)"
         base = worked_problem(GridSpec(n_x1, 9, 3))
         box = DomainBox(x1_min, 5.0, 0.0, 5.0, x2_min_open=True, constraint=parse("x1 - 3"))
@@ -1451,7 +1476,7 @@ class TestDanskinGamma:
         monkeypatch.undo()
         y_curve, f_curve, _ = verdict.curves
         lattice = bfpde.engine.FALLBACK_BOX_SAMPLES  # one parameter: 33 lattice points
-        wide = [expr for expr, shape in calls if len(shape) == 2 and shape[1] == lattice]
+        wide = [expr for expr, shape in calls if len(shape) == 2 and shape[0] == lattice]
         slices = [int(c.approximate.any(axis=(0, 1)).sum()) for c in (y_curve, f_curve)]
         assert slices[0] == problem.grid.n_alpha - 1
         assert wide == [problem.g] * slices[0] + [problem.f] * slices[1]
@@ -1587,7 +1612,7 @@ class TestPinnedLattice:
         # b alone spans the lattice: 33 points, once for the min and once for
         # the max half of the table, where b and c (and d) would make 33^k
         for problem, full in ((self.non_monotone(11, GridSpec(41, 41, 11)), 33 ** 2), (self.decreasing(), 33 ** 3)):
-            widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
+            widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
             assert full not in widths and 2 * 33 in widths
 
     def test_interval_work_once_per_pass_and_live_parameter(self, monkeypatch):
@@ -1604,13 +1629,12 @@ class TestPinnedLattice:
         boundary = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
         crisp_gamma = replace(boundary, parameters=FuzzyVector((("beta", TriangularFuzzyNumber(0.25, 0.5, 0.75)),
                                                                 ("gamma", TriangularFuzzyNumber(1.0, 1.0, 1.0)))))
-        # the candidate pass also certifies dG/dx2 where G settles a sample;
-        # non-monotone's b is uncertified at every sample
-        for problem, settles in ((TestVerify.many_params_problem(6), True), (boundary, True), (crisp_gamma, True),
-                                 (self.non_monotone(1), False)):
+        # the candidate pass also certifies dG/dx2, whose own table gives
+        # structure its least and greatest values
+        for problem in (TestVerify.many_params_problem(6), boundary, crisp_gamma, self.non_monotone(1)):
             calls.clear()
             assert verify(problem).outcome == BF_SOLUTION
-            candidate = [problem.g, differentiate(problem.g, "x2")] if settles else [problem.g]
+            candidate = [problem.g, differentiate(problem.g, "x2")]
             passes = [*candidate, problem.f, *(e for cond in problem.boundary for e in (problem.g, cond.target))]
             params = problem.parameters
             live = [name for name, t in zip(params.names, params.numbers) if t.left < t.right]
@@ -1618,31 +1642,41 @@ class TestPinnedLattice:
 
     def test_a_partial_signed_at_every_probe_but_not_between_stays_a_lattice_axis(self, monkeypatch):
         problem = self.cos_guard()
-        widths = {shape[-1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
+        widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
         assert 33 ** 2 in widths
         self.assert_matches_full_lattice(problem)
 
 
 class TestCertifiedRoute:
-    """Where the alpha = 0 certificate proves G monotone in every parameter at
-    a sample, each envelope end is G at a sign-pinned corner, and structure
-    scans above alpha = 0 only where G or dG/dx2 is not proved monotone.  At
-    every settled sample of every slice, Y's ends must be the min and the max
-    over all 2^m corners bit for bit, and Gamma's points the first extremal
-    corners; the structure report must be that of a scan of every corner in
-    every slice."""
+    """Each table pins the parameters the alpha = 0 certificate proves
+    one-signed at every sample of its group: at a settled sample all of them,
+    so each envelope end is G at a sign-pinned corner; and structure reads
+    dG/dx2 above alpha = 0 only where G or dG/dx2 is not proved monotone.  At
+    every sample of every slice that does not fall back, Y's and F's ends must
+    be the min and the max over all 2^m corners bit for bit, and Gamma's
+    points the first extremal corners wherever no other corner ties; the
+    structure report must be that of a scan of every corner in every slice,
+    which takes, per slice, the first worst sample in sample order.  The
+    corners are evaluated here one at a time."""
 
     @staticmethod
-    def full_scan(g, params, x1p, x2p, alphas, feas, denom_tol):
+    def corner_tables(expr, params, x1p, x2p, alpha):
+        """expr at every corner of the cut box over the parameters that occur
+        in it, ``(C, n1, n2)``, and those corners, ``(k, C)``."""
+        base, shape, used = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size), free_variables(expr)
+        los, his = bfpde.engine._cut_arrays(params, alpha)
+        his = np.array([hi if name in used else lo for name, lo, hi in zip(params.names, los, his)])
+        bindings = list(TestProbeAxis.corner_bindings(params.names, los, his, base))
+        values = np.stack([np.broadcast_to(np.asarray(evaluate(expr, b), dtype=float), shape) for b in bindings])
+        return values, np.array([[b[name] for b in bindings] for name in params.names])
+
+    def full_scan(self, g, params, x1p, x2p, alphas, feas, denom_tol):
         """The structure report of every corner of every slice, with the first
-        error in alpha order; and each slice's corner table of G and corners."""
-        names, d2 = params.names, differentiate(g, "x2")
-        base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
-        slots, tables, error = [], [], None
+        error in alpha order; and each slice's corner table of G."""
+        d2, slots, tables, error = differentiate(g, "x2"), [], [], None
         for alpha in alphas.tolist():
-            corners = bfpde.engine._corner_points(*bfpde.engine._cut_arrays(params, alpha))
             try:
-                values, dv = bfpde.engine._corner_values((g, d2), names, corners, base, shape)
+                (values, corners), (dv, _) = (self.corner_tables(e, params, x1p, x2p, alpha) for e in (g, d2))
             except EvalError as err:
                 error, tables = error or err, tables + [None]
                 continue
@@ -1650,17 +1684,24 @@ class TestCertifiedRoute:
             if error is None and not finite[feas].all():
                 corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": dv}
                 error = bfpde.engine._non_finite(corner_values, feas, x1p, x2p, alpha)
-            slots.append((alpha, bfpde.engine._structure_slice(values, dv, feas & finite, x1p, x2p)))
+            worst = []
+            for plane in (-values.min(axis=0), -dv.min(axis=0), dv.max(axis=0)):
+                if not (feas & finite).any():
+                    worst.append((None, None))
+                    continue
+                i1, i2 = np.unravel_index(int(np.where(feas & finite, plane, -np.inf).argmax()), plane.shape)
+                worst.append((float(plane[i1, i2]), (float(x1p[i1]), float(x2p[i2]))))
+            slots.append((alpha, worst))
             tables.append((values, corners))
         return bfpde.engine._structure_report(slots, denom_tol, error), tables
 
     def assert_matches(self, monkeypatch, problem) -> int:
-        """Check one problem's candidate pass; returns its settled (sample, slice) pairs."""
+        """Check one problem's candidate and F passes; returns the settled
+        (sample, slice) pairs of G."""
         g, params = problem.g, problem.parameters
         x1p, x2p, alphas, feas = bfpde.engine._grid_samples(problem.box, problem.grid)
-        X1, X2, shape = x1p[:, None], x2p[None, :], (x1p.size, x2p.size)
-        signs, settled, needed = bfpde.engine._settled(g, [differentiate(g, n) for n in params.names], params, X1, X2,
-                                                       shape)
+        _, settled, _ = bfpde.engine._settled(g, [differentiate(g, n) for n in params.names], params, x1p[:, None],
+                                              x2p[None, :], feas.shape)
         points = []
         original = bfpde.engine._gamma_stage
 
@@ -1674,29 +1715,20 @@ class TestCertifiedRoute:
         monkeypatch.undo()
         report, tables = self.full_scan(g, params, x1p, x2p, alphas, feas, denom_tol)
         assert repr(result.structure) == repr(report)
-        used = free_variables(g)
-        for ki, table in enumerate(tables):
-            if table is None or "envelope" in result.errors:
+        f_pass = bfpde.engine._alpha_pass(problem.f, params, x1p, x2p, alphas, feas, ROLE_F)
+        for expr, curve in ((g, result.envelope), (problem.f, f_pass.envelope)):
+            if curve is None:
                 continue
-            values, corners = table
-            live = [j for j, name in enumerate(params.names) if corners[j, 0] < corners[j, -1] and name in used]
-            # the sign-pinned corners: bit i of a corner sets the i-th live
-            # parameter (any width) to hi, where its sign makes that end least
-            # (lower end) or greatest (upper end); one with no sign stays at lo
-            bits = np.flatnonzero(corners[:, 0] < corners[:, -1])
-            pins = [sum((signs[j] * side > 0).astype(np.intp) << i for i, j in enumerate(bits)) for side in (-1, 1)]
-            ends = [np.take_along_axis(values, np.broadcast_to(pin, shape)[None], 0)[0] for pin in pins]
-            # where those ends tie or cross, which only rounding can do while a
-            # parameter of G has width, the sample takes the corner route
-            tied = settled & ~(ends[0] < ends[1]) & bool((corners[:, 0] < corners[:, -1])[needed].any())
-            for end, reduce, pick, k in ((result.envelope.lower, np.min, np.argmin, 0),
-                                         (result.envelope.upper, np.max, np.argmax, 1)):
-                want = reduce(values, axis=0)[settled]
-                assert np.array_equal(end[:, :, ki][settled].view(np.int64), want.view(np.int64))
-                if ki < len(points):
-                    first = np.take(corners, pick(values, axis=0), axis=1)
-                    kept = settled & ~tied
-                    assert np.array_equal(points[ki][k][live][:, kept], first[live][:, kept])
+            for ki, alpha in enumerate(alphas.tolist()):
+                values, corners = self.corner_tables(expr, params, x1p, x2p, alpha)
+                exact = ~curve.approximate[:, :, ki]
+                for end, reduce, pick, k in ((curve.lower, np.min, np.argmin, 0), (curve.upper, np.max, np.argmax, 1)):
+                    want = reduce(values, axis=0)
+                    assert np.array_equal(end[:, :, ki][exact].view(np.int64), want[exact].view(np.int64))
+                    if expr is g and ki < len(points):
+                        alone = exact & ((values == want).sum(axis=0) == 1)
+                        first = np.take(corners, pick(values, axis=0), axis=1)
+                        assert np.array_equal(points[ki][k][:, alone], first[:, alone])
         return int(settled.sum()) * alphas.size
 
     def test_shipped_problems(self, monkeypatch):
@@ -1736,6 +1768,32 @@ class TestCertifiedRoute:
         assert (curve.lower[0, 0, 0], curve.upper[0, 0, 0]) == (1e16, 1e16 + 2)
         assert check_fuzzy_validity([curve]).passed
 
+    def test_pinned_ends_that_rounding_crosses_lose_their_pins_on_the_corner_route(self, monkeypatch):
+        # d's partial 2*(d - 1) is 0 at d = 1, so no sample is settled and
+        # every one takes the corner route, whose table pins b; at x2 = 1 its
+        # pinned ends cross as above, so that table is built again without pins
+        g_text = "1e16*x2 + 3*b - 2*b + (d - 1)^2"
+        params = FuzzyVector(tuple((name, TriangularFuzzyNumber(1.0, 1.25, 1.5)) for name in ("b", "d")))
+        problem = ProblemSpec("crossed-route", g_text, "x2", parse(g_text, ("b", "d")), parse("x2", ("b", "d")), params,
+                              DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3))
+        assert self.assert_matches(monkeypatch, problem) == 0
+        curve = envelope_curve(problem.g, params, problem.box, problem.grid, "Y")
+        assert not curve.approximate.any()
+        assert (curve.lower[0, 0, 0], curve.upper[0, 0, 0]) == (1e16, 1e16 + 2)
+        assert check_fuzzy_validity([curve]).passed
+
+    def test_a_cut_wider_than_the_largest_double_keeps_exact_corners(self, monkeypatch):
+        # b's partial vanishes at x1 = 1, so that row takes the corner route,
+        # whose corners are b's cut ends although hi - lo overflows there
+        g_text, f_text = "x2 + 1e-300*b*(x1 - 1) + 1e9", "1e-300*b"
+        params = FuzzyVector((("b", TriangularFuzzyNumber(-1e308, 0.0, 1e308)),))
+        problem = ProblemSpec("wide-cut", g_text, f_text, parse(g_text, ("b",)), parse(f_text, ("b",)), params,
+                              DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(3, 3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.assert_matches(monkeypatch, problem) == 2 * 3 * 3
+            assert verify(problem).outcome == BF_SOLUTION
+
     def test_golden_corpus(self, monkeypatch):
         from test_golden import _corpus
 
@@ -1745,6 +1803,37 @@ class TestCertifiedRoute:
     def test_many_params(self, monkeypatch, k):
         problem = TestVerify.many_params_problem(k)
         assert self.assert_matches(monkeypatch, problem) == problem.grid.n_x1 * problem.grid.n_x2 * problem.grid.n_alpha
+
+    @pytest.mark.parametrize("b", [(0.7, 1.0, 1.3), (1.0, 1.2, 1.4)])
+    def test_partially_certified_family(self, monkeypatch, b):
+        # the c_j are certified at every sample, b nowhere: the corner table
+        # pins the c_j and spans b's 2 corners; b = (0.7, 1, 1.3) sends every
+        # sample below alpha = 1 to the lattice, while at b = (1, 1.2, 1.4)
+        # b's partial, 0 at b = 1, is never strictly negative, and every
+        # sample takes the corner route
+        names = ("b", *(f"c{j}" for j in range(8)))
+        q = "(b - 1)^2 + " + " + ".join(names[1:])
+        params = FuzzyVector((("b", TriangularFuzzyNumber(*b)),
+                              *((name, TriangularFuzzyNumber(0.01, 0.02, 0.03)) for name in names[1:])))
+        g_text, f_text = f"x2*exp(x1*({q}))", f"x2*({q})"
+        problem = ProblemSpec("partially-certified", g_text, f_text, parse(g_text, names), parse(f_text, names), params,
+                              DomainBox(0.5, 1.5, 0.0, 2.0, x2_min_open=True), GridSpec(5, 4, 3))
+        assert self.assert_matches(monkeypatch, problem) == 0
+        approximate = verify(problem).curves[0].approximate
+        assert approximate[:, :, :-1].all() if b[0] < 1.0 else not approximate.any()
+        # no table spans the 2^9 corners; the probe of b still does, center included
+        widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem)}
+        assert 2 ** 9 not in widths and 2 ** 9 + 1 in widths
+
+    def test_settled_g_beside_an_unsettled_partial(self, monkeypatch):
+        # G rises with b and c at every sample, dG/dx2 = (b - 1)^2 + 0.1 does
+        # not, and F = dG/dx2 * x2 falls back where b's partial changes sign
+        g_text, f_text = "x2*((b - 1)^2 + 0.1) + 10*b + c", "x2*((b - 1)^2 + 0.1)"
+        params = FuzzyVector((("b", TriangularFuzzyNumber(0.5, 1.0, 1.5)), ("c", TriangularFuzzyNumber(0.0, 1.0, 2.0))))
+        problem = ProblemSpec("settled-g", g_text, f_text, parse(g_text, ("b", "c")), parse(f_text, ("b", "c")), params,
+                              DomainBox(1.0, 2.0, 1.0, 2.0), GridSpec(7, 6, 5))
+        assert self.assert_matches(monkeypatch, problem) == 7 * 6 * 5
+        assert verify(problem).curves[1].approximate.any()
 
     def test_random_monotone_instances(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -1759,9 +1848,9 @@ class TestCertifiedRoute:
 
 class TestPlaneReductions:
     """The checks reduce their residuals one alpha plane at a time and the
-    corner route finds its first extremal corner without a strided argmin;
-    both must pick exactly what one whole-grid reduction picks, ties, NaN and
-    infinities included."""
+    selector (:func:`bfpde.engine._extremes`) finds each block's first
+    extremal column without a strided argmin; both must pick exactly what one
+    whole-grid reduction picks, ties, NaN and infinities included."""
 
     @staticmethod
     def planted(rng, shape):
@@ -1797,21 +1886,35 @@ class TestPlaneReductions:
             assert got[1] == tuple(float(ax[i]) for ax, i in zip(alpha_major, pos))
 
     def test_first_extremal_corner_matches_argmin_and_argmax(self):
+        # one block serves both ends, or two split the columns in halves; a
+        # row holding each column's index reads back the column picked
         rng = np.random.default_rng(21)
         for _ in range(400):
-            c = int(rng.choice([1, 2, 4, 8, 16]))
-            values = self.planted(rng, (c, rng.integers(1, 5), rng.integers(1, 5)))
-            for end, arg in ((values.min(axis=0), values.argmin(axis=0)), (values.max(axis=0), values.argmax(axis=0))):
-                first, ties = bfpde.engine._first_extremal(values, end)
-                assert np.array_equal(first, arg)
-                assert np.array_equal(ties, (values == end).sum(axis=0) > 1)
+            c, blocks = int(rng.choice([1, 2, 4, 8, 16])), int(rng.choice([1, 2]))
+            values = self.planted(rng, (blocks * c, rng.integers(1, 5), rng.integers(1, 5)))
+            index = np.arange(blocks * c, dtype=float).reshape(-1, 1, 1)
+            # a random mask per end that keeps each block's first column
+            keep = rng.random((2, c) + values.shape[1:]) < 0.8
+            keep[:, 0] = True
+            for allowed in (None, keep):
+                ends = bfpde.engine._extremes(values, blocks, [index], allowed)
+                for b, ((end, ties, point), reduce, arg, pad) in enumerate(zip(
+                        ends, (np.min, np.max), (np.argmin, np.argmax), (np.inf, -np.inf))):
+                    offset = b * c * (blocks - 1)
+                    block = values[offset:offset + c]
+                    if allowed is not None:
+                        block = np.where(keep[b], block, pad)
+                    assert np.array_equal(end, reduce(block, axis=0), equal_nan=True)
+                    assert np.array_equal(point[0], arg(block, axis=0) + offset)
+                    assert np.array_equal(ties, (block == end).sum(axis=0) > 1)
 
     def test_first_extremal_corner_where_no_corner_attains_the_end(self):
-        # a fallback sample's lattice end: the index stays a valid corner
+        # a NaN end: the point is the first NaN column's, a valid column
         values = np.array([[[1.0, np.nan]], [[np.nan, 2.0]], [[3.0, np.nan]]])
-        first, ties = bfpde.engine._first_extremal(values, np.array([[0.5, 0.5]]))
-        assert first.tolist() == [[1, 0]]
-        assert not ties.any()
+        for end, ties, point in bfpde.engine._extremes(values, 1, [np.arange(3.0).reshape(3, 1, 1)]):
+            assert np.isnan(end).all()
+            assert point.tolist() == [[[1, 0]]]
+            assert not ties.any()
 
 
 class TestCheckMemory:

@@ -113,6 +113,12 @@ def _corpus() -> dict[str, ProblemSpec]:
     corpus["decreasing-certified-k3"] = _problem(
         "decreasing-certified-k3", f"x2*exp(x1*({q}))", f"x2*({q})",
         {"b": (0.7, 1, 1.3), "c": (0.2, 0.3, 0.4), "d": (0.1, 0.2, 0.3)}, BENCH_BOX, GridSpec(9, 7, 4))
+    # the partially certified family: the c_j are certified beside the
+    # uncertified b, so the corner table pins them and spans b alone
+    q = "(b - 1)^2 + c0 + c1 + c2 + c3"
+    corpus["partially-certified-c4"] = _problem(
+        "partially-certified-c4", f"x2*exp(x1*({q}))", f"x2*({q})",
+        {"b": (0.7, 1, 1.3), **{f"c{j}": (0.01, 0.02, 0.03) for j in range(4)}}, BENCH_BOX, GridSpec(9, 7, 4))
     q = "(b - 1)^2 + 0.2 + 0.05*sin(6.283185307179586*(d - 1))"
     corpus["cos-guard"] = _problem("cos-guard", f"x2*exp(x1*({q}))", f"x2*({q})", {"b": (0.7, 1, 1.3), "d": (0, 1, 2)},
                                    BENCH_BOX, grid)
@@ -199,6 +205,10 @@ CORPUS_GOLDEN = {
     "non-monotone-seed3": (
         "a3946d885a3136d715bcf0a86a75ba7873a057f40e947462c2eeb1155be06772",
         "fb6012fcfaa8f054d9f2251187374fdfd49e55d247c8f2610d13cf899c4ca972",
+    ),
+    "partially-certified-c4": (
+        "c09f20827241f9cb4738a8ce21149b40f5a24c3a268f5ce09b07ee19b2d5ed75",
+        "14b82a2104a27ffcf166699e19385629be2310a0f1b0df32b712df0d0017aa8c",
     ),
     "random-monotone-0": (
         "55679f3b83a382ae29265582e8c706dcc63a4e2f8270249262c0bca6fdc7e747",
