@@ -28,7 +28,9 @@ the table's group is pinned per sample, at the cut end its sign makes the
 expression least (the min block) or greatest (the max block); every other one
 spans 2 points (the corners) or, on the dense fallback, a lattice.  One
 evaluator (:func:`_values`) and one selector (:func:`_extremes`) serve every
-table.
+table.  A slice's (x1, x2) samples are held flat, in sample order (x1
+slowest), and every group a table covers is a list of them: the whole slice,
+or the positions one mask picks.
 
 Before the first slice, each partial of the expression is enclosed by interval
 arithmetic over the alpha = 0 cut box, which holds every cut, so a sign it
@@ -38,23 +40,25 @@ in the expression: the expression is monotone in each parameter there.
 
 Envelope: at a settled sample the table pins every live parameter, so it has
 one column per block and nothing to enumerate (the certified route).  The
-other samples take the corner route, on the sub-mesh of their rows and
-columns, with a table that pins the parameters certified on all of it; a live
-parameter's partial is probed over the box center and all the corners, unless
-it is certified at every sample or free of the parameters.  If no parameter
-shows strictly opposite signs, the extremum is attained at a corner and the
-envelope is exact.  Otherwise the sample falls back to a table at lattice
-density over the fallback samples and is flagged approximate.  A sample whose
-pinned ends tie or cross, which only rounding does, loses its pins for that
-slice (a settled one joins the corner route).
+other samples take the corner route, on those samples alone, with a table that
+pins the parameters certified at all of them; a live parameter's partial is
+probed over the box center and all the corners, unless it is certified at
+every sample or free of the parameters.  If no parameter shows strictly
+opposite signs, the extremum is attained at a corner and the envelope is
+exact.  Otherwise the sample falls back to a table at lattice density over the
+fallback samples and is flagged approximate.  A sample whose pinned ends tie
+or cross, which only rounding does, loses its pins for that slice (a settled
+one joins the corner route).
 
 Structure: the least of G is the min block's end of the corner-density tables
 the envelope reads; dG/dx2's least and greatest come from its own table, at
-every sample at alpha = 0 and above it only on the sub-mesh where G or dG/dx2
+every sample at alpha = 0 and above it only at the samples where G or dG/dx2
 (whose partials the candidate pass certifies too) is not proved monotone or an
 end was not finite at alpha = 0: elsewhere no later cut, inside the alpha = 0
 box, is more extreme, and the report keeps the first worst in alpha order,
-then in sample order.
+then in sample order.  Every location the pass reports, in the envelope,
+Gamma, a near-zero denominator or structure, is the (x1, x2) of the first
+such flat position.
 
 Point: each envelope end carries the parameter point that attains it: the
 first column of its block that does or, where distinct corners tie on the
@@ -373,41 +377,46 @@ def _cut_arrays(params: FuzzyVector, alpha: float) -> tuple[np.ndarray, np.ndarr
 _masked_out_invalid = np.errstate(invalid="ignore", over="ignore")
 
 
-def _as_mesh(value, shape) -> np.ndarray:
+def _broadcast(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
+def _flat_samples(x1p: np.ndarray, x2p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (x1, x2) sample of two axes in sample order (x1 slowest), as two
+    ``(n1 * n2,)`` arrays: the layout of every group the pass evaluates."""
+    return np.repeat(x1p, x2p.size), np.tile(x2p, x1p.size)
+
+
 def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray):
-    """The parameter points at which a group of samples evaluates an
-    expression, columns first: one row per parameter, an array that
-    broadcasts to ``(C,) + samples`` (one array where every parameter is
-    pinned), and the number of blocks, 2 (the min block, then the max block)
-    where some parameter is pinned and 1 (serving both ends) where none is.
-    ``signs`` are the certified signs at the group's samples, ``(k,) +
-    samples``, 0 where none.  A live parameter (lo < hi) certified at every
-    sample is pinned per sample: at the cut end its sign makes the expression
-    least in each column of the min block, greatest in each of the max block.
-    Every other live one spans ``density`` points, endpoints included, the
-    first parameter fastest (2 points: the cut-box corners; more: a lattice,
-    capped so that one over all k parameters would hold at most
-    ``BOX_SAMPLE_BUDGET`` points), in a row without sample axes.  A
+    """The parameter points at which a group of ``(q,)`` samples evaluates an
+    expression, columns first: one row per parameter, ``(C, 1)`` where it is
+    the same at every sample and ``(C, q)`` where it is pinned, or one
+    ``(k, 2, q)`` array where every parameter is pinned; and the number of
+    blocks, 2 (the min block, then the max block) where some parameter is
+    pinned and 1 (serving both ends) where none is.  ``signs`` are the
+    certified signs at the group's samples, ``(k, q)``, 0 where none.  A live
+    parameter (lo < hi) certified at every sample is pinned per sample: at the
+    cut end its sign makes the expression least in each column of the min
+    block, greatest in each of the max block.  Every other live one spans
+    ``density`` points, endpoints included, the first parameter fastest (2
+    points: the cut-box corners; more: a lattice, capped so that one over all
+    k parameters would hold at most ``BOX_SAMPLE_BUDGET`` points).  A
     degenerate one is its one value."""
-    pinned = (los < his) & signs.reshape(los.size, -1).all(axis=1)
+    pinned = (los < his) & signs.all(axis=1)
     spans = (los < his) & ~pinned
     if pinned.any():  # each pinned parameter's (min end, max end) per sample
-        ab = np.stack([los, his], 1)[pinned][(...,) + (None,) * (signs.ndim - 1)]
+        ab = np.stack([los, his], 1)[pinned][:, :, None]
         ends = np.where((signs[pinned] > 0)[:, None], ab, ab[:, ::-1])
         if pinned.all():  # one column per block, and the rows one array: a point is a view
             return ends, 2
     n = min(density, max(2, int(BOX_SAMPLE_BUDGET ** (1.0 / los.size)))) if spans.any() else 1
-    columns, ones = np.arange(n ** int(spans.sum())), (1,) * (signs.ndim - 1)
+    columns = np.arange(n ** int(spans.sum()))
     # the corners are the cut ends themselves (linspace's step overflows where
     # hi - lo does); a one-value row binds like a scalar: numpy's power, for
     # one, takes another loop for a full array of one value, which can differ
     # in the last bit
     rows = [((np.array([lo, hi]) if n == 2 else np.linspace(lo, hi, n))[columns // n ** before % n] if span
-             else np.array([lo])).reshape((-1,) + ones) for lo, hi, span, before in zip(los, his, spans,
-                                                                                    np.cumsum(spans) - spans)]
+             else np.array([lo]))[:, None] for lo, hi, span, before in zip(los, his, spans, np.cumsum(spans) - spans)]
     if not pinned.any():
         return rows, 1
     for j, end in zip(np.flatnonzero(pinned), ends):
@@ -417,23 +426,22 @@ def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray):
 
 def _values(expr: Expression, names, rows, x1, x2, feas: np.ndarray) -> np.ndarray:
     """expr at every column of a :func:`_table` and every sample of its group,
-    ``(C,) + feas.shape``: ``x1`` and ``x2`` bind the samples, a mesh
-    ((n1, 1) and (1, n2)) or a list ((q,) each), and ``feas`` marks the
-    feasible ones.  An evaluation error is retried at the feasible samples
+    ``(C, q)``: ``x1`` and ``x2`` are the ``(q,)`` samples and ``feas`` marks
+    the feasible ones.  An evaluation error is retried at the feasible samples
     alone, NaN at the others; if that fails too, the columns are replayed one
     at a time and the first failing column's error is raised."""
-    shape = (max([len(row) for row in rows], default=1),) + feas.shape
+    shape = (max([len(row) for row in rows], default=1), feas.size)
 
     def at_feasible(cols) -> dict:
         binding = {name: np.broadcast_to(row, shape)[cols][:, feas] for name, row in zip(names, rows)}
-        return dict(binding, x1=np.broadcast_to(x1, feas.shape)[feas], x2=np.broadcast_to(x2, feas.shape)[feas])
+        return dict(binding, x1=x1[feas], x2=x2[feas])
 
     try:
-        return _as_mesh(evaluate(expr, dict(zip(names, rows), x1=x1, x2=x2)), shape)
+        return _broadcast(evaluate(expr, dict(zip(names, rows), x1=x1, x2=x2)), shape)
     except EvalError:
         values = np.full(shape, np.nan)
     try:
-        values[:, feas] = _as_mesh(evaluate(expr, at_feasible(slice(None))), (shape[0], int(feas.sum())))
+        values[:, feas] = _broadcast(evaluate(expr, at_feasible(slice(None))), (shape[0], int(feas.sum())))
     except EvalError:
         for c in range(shape[0]):
             evaluate(expr, at_feasible(slice(c, c + 1)))
@@ -442,12 +450,12 @@ def _values(expr: Expression, names, rows, x1, x2, feas: np.ndarray) -> np.ndarr
 
 
 def _extremes(values: np.ndarray, blocks: int, rows=None, allowed=None):
-    """Per sample, the least of a :func:`_table`'s ``values`` (columns first)
-    in its min block and the greatest in its max block, over the columns
-    ``allowed`` marks (one mask per block) if given.  For each end: its value
-    and, given the table's ``rows``, whether more than one column attains it
-    and the ``(k,) + samples`` point at the first column attaining it (the
-    first NaN one where the end is NaN)."""
+    """Per sample, the least of a :func:`_table`'s ``(C, q)`` ``values`` in
+    its min block and the greatest in its max block, over the columns
+    ``allowed`` marks (one mask per block) if given.  For each end: its
+    ``(q,)`` value and, given the table's ``rows``, whether more than one
+    column attains it and the ``(k, q)`` point at the first column attaining
+    it (the first NaN one where the end is NaN)."""
     width, ends = len(values) // blocks, []
     for b, (reduce, arg, pad) in enumerate(((np.min, np.argmin, np.inf), (np.max, np.argmax, -np.inf))):
         offset = width * b * (blocks - 1)
@@ -463,8 +471,8 @@ def _extremes(values: np.ndarray, blocks: int, rows=None, allowed=None):
             point = None
         elif isinstance(rows, np.ndarray):  # one column per block: a view
             point = rows[:, first]
-        else:  # a row without sample axes varies by column; one with them is pinned, one value per block
-            point = np.stack([np.broadcast_to(row.reshape(-1)[first] if row.size == len(row) > 1 else
+        else:  # a (C, 1) row varies by column; a (C, q) one is pinned, one value per block
+            point = np.stack([np.broadcast_to(row[first, 0] if row.shape[1] == 1 < len(row) else
                                               row[offset % len(row)], end.shape) for row in rows])
         ends.append((end, tie, point))
     return ends
@@ -487,10 +495,11 @@ def _reduce(expr: Expression, names, los, his, density: int, signs, x1, x2, feas
 
 
 def _sign_fallback(partials, names, los, his, x1, x2, feas) -> np.ndarray:
-    """Samples whose extremum may lie inside the box: some live parameter's
-    partial (in ``partials``, None where its sign needs no probe) takes
-    strictly opposite signs across the box center and the 2^m corners."""
-    corners, _ = _table(los, his, 2, np.zeros((los.size,) + (1,) * feas.ndim, dtype=np.int8))
+    """The ``(q,)`` samples whose extremum may lie inside the box: some live
+    parameter's partial (in ``partials``, None where its sign needs no probe)
+    takes strictly opposite signs across the box center and the 2^m
+    corners."""
+    corners, _ = _table(los, his, 2, np.zeros((los.size, 1), dtype=np.int8))
     probes = [np.concatenate([np.full_like(row[:1], 0.5 * lo + 0.5 * hi), row]) if lo < hi else row
               for row, lo, hi in zip(corners, los, his)]
     fallback = np.zeros(feas.shape, dtype=bool)
@@ -500,44 +509,39 @@ def _sign_fallback(partials, names, los, his, x1, x2, feas) -> np.ndarray:
     return fallback
 
 
-def _sub_mesh(mask: np.ndarray, x1p: np.ndarray, x2p: np.ndarray):
-    """The sub-mesh of the rows and the columns of the ``(n1, n2)`` samples
-    that hold a marked one: its index (a view where it is the whole mesh) and
-    its x1 ``(n, 1)`` and x2 ``(1, m)`` axes."""
-    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
-    at = np.s_[:, :] if (rows.size, cols.size) == mask.shape else np.ix_(rows, cols)
-    return at, x1p[rows][:, None], x2p[cols][None, :]
-
-
-def _settled(expr: Expression, partials, params: FuzzyVector, X1, X2, shape):
-    """Each partial's sign at every sample, certified by interval arithmetic on
+def _settled(expr: Expression, partials, params: FuzzyVector, x1p, x2p):
+    """Each partial's sign at every (x1, x2) sample of the axes ``x1p`` and
+    ``x2p``, ``(k, q)`` in sample order, certified by interval arithmetic on
     the alpha = 0 cut box (+1, -1 or 0); the samples where those signs prove
     expr monotone in each parameter over that box, where every parameter live
     there that occurs in expr has a sign; and the mask of the parameters that
-    occur in expr."""
+    occur in expr.  Each axis is bound once, so a term of one x alone is
+    enclosed once per value of that x, not once per sample."""
     los, his = _cut_arrays(params, 0.0)
-    box = dict({"x1": (X1, X1), "x2": (X2, X2)}, **{name: (lo, hi) for name, lo, hi in zip(params.names, los, his)})
+    x1, x2 = x1p[:, None], x2p[None, :]
+    box = dict({"x1": (x1, x1), "x2": (x2, x2)}, **{name: (lo, hi) for name, lo, hi in zip(params.names, los, his)})
     ends = [interval_eval(d, box) if lo < hi and free_variables(d) <= box.keys() else (0.0, 0.0)
             for d, lo, hi in zip(partials, los, his)]  # 0 for an unbound name: it raises where evaluated
-    signs = np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), shape) for lo, hi in ends])
+    signs = np.stack([np.broadcast_to(np.int8(lo > 0.0) - np.int8(hi < 0.0), (x1p.size, x2p.size))
+                      for lo, hi in ends]).reshape(len(ends), -1)
     uses = np.array([name in free_variables(expr) for name in params.names], dtype=bool)
     return signs, (signs[(los < his) & uses] != 0).all(axis=0), uses
 
 
-def _non_finite(arrays: dict, feas: np.ndarray, x1p, x2p, alpha: float) -> NonFiniteValueError | None:
+def _non_finite(arrays: dict, feas: np.ndarray, x1, x2, alpha: float) -> NonFiniteValueError | None:
     """The error for the first feasible sample, in sample order, where one of
-    the named ``(...,) + feas.shape`` arrays is NaN or infinite; None if there
-    is none.  ``x1p`` and ``x2p`` are the sample axes."""
-    finite = [np.isfinite(a).reshape((-1,) + feas.shape).all(axis=0) for a in arrays.values()]
+    the named ``(..., q)`` arrays is NaN or infinite; None if there is none.
+    ``x1`` and ``x2`` are the ``(q,)`` samples."""
+    finite = [np.isfinite(a).reshape(-1, feas.size).all(axis=0) for a in arrays.values()]
     bad = feas & ~np.logical_and.reduce(finite)
     if not bad.any():
         return None
-    pos = tuple(np.argwhere(bad)[0])
+    i = int(bad.argmax())
     for what, a in arrays.items():
-        column = np.ravel(a[(...,) + pos])
+        column = np.ravel(a[..., i])
         off = column[~np.isfinite(column)]
         if off.size:
-            return NonFiniteValueError(what, float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(off[0]))
+            return NonFiniteValueError(what, float(x1[i]), float(x2[i]), alpha, float(off[0]))
     raise AssertionError("a non-finite sample has a non-finite value")
 
 
@@ -575,16 +579,15 @@ def _grid_samples(box: DomainBox, grid: GridSpec):
     return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
 
 
-def _tie_break(x_partials, names, route, tied, x1r, x2r, feas, axes) -> list[np.ndarray]:
+def _tie_break(x_partials, names, route, tied, x1, x2, feas, axes) -> list[np.ndarray]:
     """The points of the corner route (``route``, its :func:`_reduce` on the
-    samples ``x1r``, ``x2r``) at the ``tied`` samples, where distinct columns
-    of one block tie for an end (e.g. the partial vanishes along an axis): the
-    first tied column whose d . grad_x G (``x_partials``: dG/dx1, dG/dx2) is
-    least for the lower end and greatest for the upper, d being the range of
-    each sampled axis in ``axes`` (backward at its last sample)."""
+    ``(q,)`` samples ``x1``, ``x2``) at the ``tied`` samples, where distinct
+    columns of one block tie for an end (e.g. the partial vanishes along an
+    axis): the first tied column whose d . grad_x G (``x_partials``: dG/dx1,
+    dG/dx2) is least for the lower end and greatest for the upper, d being the
+    range of each sampled axis in ``axes`` (backward at its last sample)."""
     rows, blocks, values, low, high = route
-    rows = [row[:, tied] if row.size > len(row) else row.reshape(len(row), 1) for row in rows]
-    x = [np.broadcast_to(xr, tied.shape)[tied] for xr in (x1r, x2r)]
+    rows, x = [row if row.shape[1] == 1 else row[:, tied] for row in rows], (x1[tied], x2[tied])
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at an infeasible sample
         score = sum(np.where(xs < a[-1], a[-1] - a[0], a[0] - a[-1]) * _values(d, names, rows, *x, feas[tied])
                     for xs, a, d in zip(x, axes, x_partials))
@@ -593,23 +596,23 @@ def _tie_break(x_partials, names, route, tied, x1r, x2r, feas, axes) -> list[np.
     return [end[2] for end in _extremes(score, blocks, rows, allowed)]
 
 
-def _gamma_stage(x_partials, names, points, base: dict, feas, x1p, x2p, alpha: float, denom_tol: float):
-    """Gamma's lower and upper end on one slice.  By Danskin's theorem each
-    envelope end moves with G at the parameter point attaining it, so its
-    x-partials (``x_partials``, dG/dx1 and dG/dx2) are G's there.  Raises
-    :class:`NearZeroDenominatorError` where |dG/dx2| < denom_tol, and
-    :class:`NonFiniteValueError` where Gamma is NaN or infinite, each at the
-    first such feasible sample."""
+def _gamma_stage(x_partials, names, points, x1, x2, feas, alpha: float, denom_tol: float):
+    """Gamma's lower and upper end on one slice of ``(q,)`` samples.  By
+    Danskin's theorem each envelope end moves with G at the ``(k, q)``
+    parameter point attaining it, so its x-partials (``x_partials``, dG/dx1
+    and dG/dx2) are G's there.  Raises :class:`NearZeroDenominatorError` where
+    |dG/dx2| < denom_tol, and :class:`NonFiniteValueError` where Gamma is NaN
+    or infinite, each at the first such feasible sample."""
     ends = []
     for point in points:
-        num, den = (_values(d, names, point[:, None], base["x1"], base["x2"], feas)[0] for d in x_partials)
+        num, den = (_values(d, names, point[:, None], x1, x2, feas)[0] for d in x_partials)
         bad = feas & (np.abs(den) < denom_tol)
         if bad.any():
-            pos = np.argwhere(bad)[0]
-            raise NearZeroDenominatorError(float(x1p[pos[0]]), float(x2p[pos[1]]), alpha, float(den[tuple(pos)]))
+            i = int(bad.argmax())
+            raise NearZeroDenominatorError(float(x1[i]), float(x2[i]), alpha, float(den[i]))
         with np.errstate(divide="ignore", invalid="ignore"):
             ends.append(np.divide(num, den))
-    error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, x1p, x2p, alpha)
+    error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, x1, x2, alpha)
     if error is not None:
         raise error
     return ends
@@ -641,34 +644,37 @@ def _alpha_pass(
     corner density fails every part, one in the sign probe or the lattice both
     curves, one in the tie-break or the Gamma stage Gamma only, and a
     non-finite envelope the envelope only.
+
+    A slice is held flat, its (x1, x2) samples in sample order: the certified
+    table covers all of them, and every other group the positions one mask
+    picks (the open samples, the fallback ones, the tied ones, the scan's).
     """
     names = params.names
     if len(names) > CORNER_PARAM_LIMIT:
         raise ValueError(f"every envelope enumerates the 2^k cut-box corners; at most {CORNER_PARAM_LIMIT} parameters")
     if not feas.any():
         raise ValueError("no grid samples satisfy the domain constraint")
-    shape, base = (x1p.size, x2p.size), {"x1": x1p[:, None], "x2": x2p[None, :]}
+    (x1, x2), ok = _flat_samples(x1p, x2p), feas.ravel()
     partials = [differentiate(expr, name) for name in names]
     # a sign certified on the alpha = 0 box, which holds every cut, holds in
     # every slice: it needs no probe, and at a settled sample the table pins
     # every live parameter of expr.  The certified table spans the slice: an
     # open sample, which the corner route overwrites, takes lo for the min
     # and hi for the max where it has no sign
-    signs, settled, uses = _settled(expr, partials, params, base["x1"], base["x2"], shape)
+    signs, settled, uses = _settled(expr, partials, params, x1p, x2p)
     probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
     pins = np.where(signs == 0, np.int8(1), signs)
     parts = ("envelope", "gamma") if candidate else ("envelope",)
     # alpha-major buffers: every slice lands in one contiguous block
-    planes = (alphas.size,) + shape
+    planes = (alphas.size, ok.size)
     env, approx = (np.empty(planes), np.empty(planes)), np.zeros(planes, dtype=bool)
     if candidate:
         x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
         d2 = x_partials[1]
-        d2_signs, d2_settled, d2_uses = _settled(d2, [differentiate(d2, name) for name in names], params,
-                                                 base["x1"], base["x2"], shape)
-        # the structure scan's sub-mesh: every sample, until alpha = 0 bounds
+        d2_signs, d2_settled, d2_uses = _settled(d2, [differentiate(d2, name) for name in names], params, x1p, x2p)
+        # the structure scan's samples: all of them, until alpha = 0 bounds
         # every later cut where G and dG/dx2 are proved monotone
-        scan = _sub_mesh(np.ones(shape, dtype=bool), x1p, x2p)
+        scan = np.arange(ok.size)
         gam = np.empty(planes), np.empty(planes)
     result, slots = _AlphaPass(), []
     what = label or f"{role} envelope"
@@ -676,76 +682,76 @@ def _alpha_pass(
         los, his = _cut_arrays(params, alpha)
         his_e = np.where(uses, his, los)  # a parameter absent from expr is bound at lo
         lower, upper = env[0][ki], env[1][ki]
-        points, open_ = [np.empty((len(names),) + shape) for _ in range(2)], ~settled
+        points, open_ = [np.empty((len(names), ok.size)) for _ in range(2)], ~settled
         try:
             if settled.any():
                 table, blocks = _table(los, his_e, 2, pins)
-                low, high = _extremes(_values(expr, names, table, base["x1"], base["x2"], feas), blocks,
-                                      table if candidate else None)
+                low, high = _extremes(_values(expr, names, table, x1, x2, ok), blocks, table if candidate else None)
                 lower[:], upper[:], points = low[0], high[0], [low[2], high[2]]
                 open_ |= (blocks == 2) & ~(low[0] < high[0])  # pinned ends that tie or cross lose their pins
-            route = None
-            if open_.any():  # the corner route, on the sub-mesh of the open samples' rows and columns
-                at, x1r, x2r = _sub_mesh(open_, x1p, x2p)
-                signs_r = np.where(open_[at] & settled[at], 0, signs[(slice(None),) + at])
-                route = _reduce(expr, names, los, his_e, 2, signs_r, x1r, x2r, feas[at], candidate)
+            route, at = None, np.flatnonzero(open_)
+            if at.size:  # the corner route, on the open samples
+                x1r, x2r, ok_r = x1[at], x2[at], ok[at]
+                signs_r = np.where(settled[at], 0, signs[:, at])
+                route = _reduce(expr, names, los, his_e, 2, signs_r, x1r, x2r, ok_r, candidate)
                 lower[at], upper[at] = route[3][0], route[4][0]
-            if candidate and scan[1].size:
-                (sub, x1s, x2s), feas_s = scan, feas[scan[0]]
+            if candidate and scan.size:
+                x1s, x2s, ok_s = x1[scan], x2[scan], ok[scan]
                 d2_ends = np.stack([end[0] for end in _reduce(d2, names, los, np.where(d2_uses, his, los), 2,
-                                                               d2_signs[(slice(None),) + sub], x1s, x2s, feas_s,
-                                                               False)[3:]])
+                                                               d2_signs[:, scan], x1s, x2s, ok_s, False)[3:]])
                 # the tables' ends, before the lattice: a table value that is
                 # NaN or infinite makes an end so
-                g_ends, axes = np.stack([lower[sub], upper[sub]]), (x1s.ravel(), x2s.ravel())
+                g_ends = np.stack([lower[scan], upper[scan]])
                 finite = np.isfinite(g_ends).all(axis=0) & np.isfinite(d2_ends).all(axis=0)
-                if not finite[feas_s].all():
+                if not finite[ok_s].all():
                     result.fail(("structure",), _non_finite({"cut-box corner value of G": g_ends,
-                                                             "cut-box corner value of dG/dx2": d2_ends}, feas_s, *axes,
+                                                             "cut-box corner value of dG/dx2": d2_ends}, ok_s, x1s, x2s,
                                                             alpha))
-                slots.append((alpha, [_masked_worst([p], feas_s & finite, axes) for p in (-g_ends[0], -d2_ends[0],
-                                                                                         d2_ends[1])]))
+                # each plane's first worst feasible finite sample
+                worst, kept = (-g_ends[0], -d2_ends[0], d2_ends[1]), ok_s & finite
+                first = [int(np.where(kept, p, -np.inf).argmax()) for p in worst]
+                slots.append((alpha, [(float(p[i]), (float(x1s[i]), float(x2s[i]))) if kept.any() else (None, None)
+                                      for p, i in zip(worst, first)]))
                 if alpha == 0.0:
                     # where G and dG/dx2 are proved monotone, a later cut lies
                     # in this box and no table is more extreme than this one:
                     # later scans skip those samples
-                    scan = _sub_mesh(~(settled & d2_settled & (finite | ~feas)), x1p, x2p)
+                    scan = np.flatnonzero(~(settled & d2_settled & (finite | ~ok)))
         except EvalError as err:
             result.fail(("structure",) + parts if candidate else parts, err)
             continue
         if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
         if route is not None:
-            feas_r, pts = feas[at], [route[3][2], route[4][2]]
+            pts = [route[3][2], route[4][2]]
             try:
-                fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, feas_r)
+                fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, ok_r)
                 if fb.any():
-                    xf = [np.broadcast_to(x, fb.shape)[fb] for x in (x1r, x2r)]
-                    lattice = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb], *xf,
-                                      feas_r[fb], candidate)
-                    approx[ki][at] = fb  # the sub-mesh is sorted: its fallback samples keep their order
+                    lattice = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb], x1r[fb], x2r[fb],
+                                      ok_r[fb], candidate)
+                    approx[ki][at] = fb  # the open samples keep their order
                     lower[approx[ki]], upper[approx[ki]] = lattice[3][0], lattice[4][0]
                     if candidate:
                         pts[0][:, fb], pts[1][:, fb] = lattice[3][2], lattice[4][2]
             except EvalError as err:
                 result.fail(parts, err)
                 continue
-        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, feas, x1p, x2p, alpha))
+        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, ok, x1, x2, alpha))
         if not candidate or "gamma" in result.errors:
             continue
         try:
             if route is not None:
                 tied = ~fb & (route[3][1] | route[4][1])
                 if tied.any():
-                    pts[0][:, tied], pts[1][:, tied] = _tie_break(x_partials, names, route, tied, x1r, x2r, feas_r,
+                    pts[0][:, tied], pts[1][:, tied] = _tie_break(x_partials, names, route, tied, x1r, x2r, ok_r,
                                                                   (x1p, x2p))
-                points[0][(slice(None),) + at], points[1][(slice(None),) + at] = pts
-            gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, base, feas, x1p, x2p, alpha, denom_tol)
+                points[0][:, at], points[1][:, at] = pts
+            gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, x1, x2, ok, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             result.fail(("gamma",), err)
 
-    def curve(curve_role, ends):
-        return EnvelopeCurve(curve_role, x1p, x2p, alphas, *(a.transpose(1, 2, 0) for a in (*ends, approx)), feas)
+    def curve(name, ends):  # (n1, n2, n_alpha) views of the alpha-major buffers
+        return EnvelopeCurve(name, x1p, x2p, alphas, *(a.T.reshape(feas.shape + (-1,)) for a in (*ends, approx)), feas)
 
     if "envelope" not in result.errors:
         result.envelope = curve(role, env)
@@ -920,8 +926,9 @@ def _check_finite_ends(curve: EnvelopeCurve) -> None:
     leave every residual finite but one -inf, which never is the worst."""
     for alpha, lower, upper in zip(curve.alpha.tolist(), *_alpha_planes(curve.lower, curve.upper)):
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            ends = {f"lower end of the {curve.role} curve": lower, f"upper end of the {curve.role} curve": upper}
-            error = _non_finite(ends, curve.feasible, curve.x1, curve.x2, alpha)
+            ends = {f"lower end of the {curve.role} curve": lower.ravel(),
+                    f"upper end of the {curve.role} curve": upper.ravel()}
+            error = _non_finite(ends, curve.feasible.ravel(), *_flat_samples(curve.x1, curve.x2), alpha)
             if error is not None:
                 raise error
 

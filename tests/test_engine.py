@@ -602,14 +602,17 @@ class TestVerify:
         # those tables, and dG/dx2 = x1^beta from its own table, which spans
         # beta (uncertified on the row), at every sample at alpha = 0 and on
         # the row above it.  Gamma's numerator and denominator come at each
-        # end's point, on every sample of the 11 levels.
+        # end's point, on every sample of the 11 levels.  Every group is a
+        # flat list of samples: the 441 of a slice or the row's 21.
         calls = self._count_evaluations(monkeypatch, worked_problem())
         assert Counter(calls) == {
-            (2, 21, 21): 2 * 10,  # G and F on the certified route below alpha = 1
-            (4, 1, 21): 10, (5, 1, 21): 10, (4, 21): 2 * 10,  # the row's table, probe and tie-break below alpha = 1
-            (1, 21, 21): 2 + 4 * 11,  # G and F at alpha = 1, where every cut is a point; Gamma
-            (1, 1, 21): 1,  # the row at alpha = 1
-            (2, 21, 1): 1, (2, 1, 1): 9, (1, 1, 1): 1,  # dG/dx2's table, which has no x2
+            # G and F on the certified route below alpha = 1; dG/dx2's table at alpha = 0
+            (2, 441): 2 * 10 + 1,
+            # the row's table, tie-break and probe below alpha = 1
+            (4, 21): 10 + 2 * 10, (5, 21): 10,
+            (1, 441): 2 + 4 * 11,  # G and F at alpha = 1, where every cut is a point; Gamma
+            (1, 21): 1 + 1,  # the row at alpha = 1: G's table and dG/dx2's
+            (2, 21): 9,  # dG/dx2's table on the row, between alpha = 0 and 1
         }
 
     def test_no_wide_corner_table_at_any_alpha(self, monkeypatch):
@@ -623,7 +626,8 @@ class TestVerify:
     def test_the_probe_runs_only_on_unsettled_samples(self, monkeypatch):
         # boundary_example.json: beta's partial is uncertified only on the
         # x1 = 1 row of G's pass, and at every sample of the x2 = 0 edge, where
-        # the candidate's partial x1^beta*ln(x1)*x2 is 0
+        # the candidate's partial x1^beta*ln(x1)*x2 is 0; both are 21
+        # samples, told apart by the x1 and the x2 they bind
         problem = load_problem(Path(__file__).resolve().parents[1] / "problems" / "boundary_example.json")
         probe, shapes = differentiate(problem.g, "beta"), []
         original = bfpde.engine.evaluate
@@ -631,12 +635,14 @@ class TestVerify:
         def recording(expr, binding):
             value = original(expr, binding)
             if expr == probe:
-                shapes.append(np.shape(value))
+                shapes.append((np.shape(value), *(sorted(set(np.ravel(binding[x]).tolist())) for x in ("x1", "x2"))))
             return value
 
         monkeypatch.setattr(bfpde.engine, "evaluate", recording)
         assert verify(problem).outcome == BF_SOLUTION
-        assert shapes == [(5, 1, 21)] * 10 + [(5, 21, 1)] * 10
+        x1p, x2p, _ = bfpde.engine.grid_axes(problem.box, problem.grid)
+        row, edge = ((5, 21), [1.0], x2p.tolist()), ((5, 21), x1p.tolist(), [0.0])
+        assert shapes == [row] * 10 + [edge] * 10
 
     @staticmethod
     def many_params_problem(k: int) -> ProblemSpec:
@@ -669,25 +675,24 @@ class TestVerify:
         assert (64, 41, 41) not in calls and (65, 41, 41) not in calls
 
     def test_coinciding_corners_and_fallback_samples_take_no_tie_break(self, monkeypatch):
-        # the tie-break evaluates dG/dx1 and dG/dx2 over the corner route's
-        # table at the (q,) tied samples, a (C, q) evaluation, which the
-        # worked example makes (see above); corners that coincide (a crisp
+        # the tie-break, which the worked example runs (see above), scores the
+        # tied samples of the corner route; corners that coincide (a crisp
         # parameter, every alpha = 1 slice) tie nothing, and a fallback
         # sample's point is the lattice's
         crisp = load_problem(Path(__file__).resolve().parents[1] / "problems" / "crisp_example.json")
-        for problem in (crisp, TestDanskinGamma.non_monotone_problem(), self.many_params_problem(3)):
-            x_partials, calls = [differentiate(problem.g, x) for x in ("x1", "x2")], []
-            original = bfpde.engine.evaluate
+        for problem in (worked_problem(), crisp, TestDanskinGamma.non_monotone_problem(), self.many_params_problem(3)):
+            tied = []
+            original = bfpde.engine._tie_break
 
-            def recording(expr, binding):
-                value = original(expr, binding)
-                calls.append((expr, np.shape(value)))
-                return value
+            def recording(*args):
+                tied.append(int(args[3].sum()))
+                return original(*args)
 
-            monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+            monkeypatch.setattr(bfpde.engine, "_tie_break", recording)
             assert verify(problem).outcome == BF_SOLUTION
             monkeypatch.undo()
-            assert [shape for expr, shape in calls if expr in x_partials and len(shape) == 2] == []
+            # x1^beta = 1 ties every beta on the worked example's x1 = 1 row
+            assert tied == ([21] * 10 if problem.name == "worked-example" else [])
 
     def test_failed_f_envelope_is_reported_once(self, monkeypatch):
         # F's envelope raises; equality is skipped instead of recomputing it
@@ -1010,8 +1015,9 @@ class TestCrispParameter:
 class TestProbeAxis:
     """A table without pins (:func:`bfpde.engine._table`, every parameter
     uncertified) is the cut-box corners, and its values and the sign probes,
-    evaluated as one leading array axis (:func:`bfpde.engine._values`), give,
-    bit for bit, what one plain evaluation per corner and per probe gives."""
+    evaluated as one leading array axis over the flat samples
+    (:func:`bfpde.engine._values`), give, bit for bit, what one plain
+    evaluation per corner and per probe over the (x1, x2) mesh gives."""
 
     @staticmethod
     def corner_bindings(names, los, his, base):
@@ -1045,23 +1051,24 @@ class TestProbeAxis:
         names = params.names
         x1p, x2p, alphas = bfpde.engine.grid_axes(box, grid)
         base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
-        feas = np.ones(shape, dtype=bool)
+        x1, x2 = bfpde.engine._flat_samples(x1p, x2p)
+        feas = np.ones(x1.size, dtype=bool)
         partials = [differentiate(g, name) for name in names]
         # as the pass does, leave out each partial certified at every sample
-        signs, _, _ = bfpde.engine._settled(g, partials, params, base["x1"], base["x2"], shape)
+        signs, _, _ = bfpde.engine._settled(g, partials, params, x1p, x2p)
         probed = [None if s.all() else d for d, s in zip(partials, signs)]
         fallbacks = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
-            table, blocks = bfpde.engine._table(los, his, 2, np.zeros((len(names), 1, 1), dtype=np.int8))
+            table, blocks = bfpde.engine._table(los, his, 2, np.zeros((len(names), 1), dtype=np.int8))
             assert blocks == 1
             for expr in exprs:
-                got = bfpde.engine._values(expr, names, table, base["x1"], base["x2"], feas)
+                got = bfpde.engine._values(expr, names, table, x1, x2, feas)
                 want = self.per_corner_values(expr, names, los, his, base, shape)
                 assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-            want = self.per_probe_fallback(g, names, los, his, base, shape)
+            want = self.per_probe_fallback(g, names, los, his, base, shape).ravel()
             for table in (partials, probed):
-                fallback = bfpde.engine._sign_fallback(table, names, los, his, base["x1"], base["x2"], feas)
+                fallback = bfpde.engine._sign_fallback(table, names, los, his, x1, x2, feas)
                 assert np.array_equal(fallback, want)
             fallbacks += int(fallback.sum())
         return fallbacks
@@ -1097,8 +1104,9 @@ class TestSignCertificate:
         names = params.names
         x1p, x2p, alphas, feas = bfpde.engine._grid_samples(box, grid)
         base, shape = {"x1": x1p[:, None], "x2": x2p[None, :]}, (x1p.size, x2p.size)
+        x1, x2 = bfpde.engine._flat_samples(x1p, x2p)
         partials = [differentiate(expr, name) for name in names]
-        signs, settled, _ = bfpde.engine._settled(expr, partials, params, base["x1"], base["x2"], shape)
+        signs, settled, _ = bfpde.engine._settled(expr, partials, params, x1p, x2p)
         live_pairs = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
@@ -1106,10 +1114,10 @@ class TestSignCertificate:
             center = dict(base, **{name: 0.5 * lo + 0.5 * hi for name, lo, hi in zip(names, los, his)})
             for binding in (center, *TestProbeAxis.corner_bindings(names, los, his, base)):
                 for d, sign in zip(partials, signs):
-                    v = np.broadcast_to(evaluate(d, binding), shape)
+                    v = np.broadcast_to(evaluate(d, binding), shape).ravel()
                     assert ((v > 0.0) | (sign <= 0)).all() and ((v < 0.0) | (sign >= 0)).all()
             # a settled sample takes no probe: probing would send it nowhere
-            fallback = bfpde.engine._sign_fallback(partials, names, los, his, *base.values(), np.ones(shape, bool))
+            fallback = bfpde.engine._sign_fallback(partials, names, los, his, x1, x2, np.ones(x1.size, bool))
             assert not (fallback & settled).any()
         probed = []
         original = bfpde.engine._sign_fallback
@@ -1682,8 +1690,10 @@ class TestCertifiedRoute:
                 continue
             finite = np.isfinite(values).all(axis=0) & np.isfinite(dv).all(axis=0)
             if error is None and not finite[feas].all():
-                corner_values = {"cut-box corner value of G": values, "cut-box corner value of dG/dx2": dv}
-                error = bfpde.engine._non_finite(corner_values, feas, x1p, x2p, alpha)
+                corner_values = {"cut-box corner value of G": values.reshape(len(values), -1),
+                                 "cut-box corner value of dG/dx2": dv.reshape(len(dv), -1)}
+                error = bfpde.engine._non_finite(corner_values, feas.ravel(), *bfpde.engine._flat_samples(x1p, x2p),
+                                                 alpha)
             worst = []
             for plane in (-values.min(axis=0), -dv.min(axis=0), dv.max(axis=0)):
                 if not (feas & finite).any():
@@ -1700,8 +1710,7 @@ class TestCertifiedRoute:
         (sample, slice) pairs of G."""
         g, params = problem.g, problem.parameters
         x1p, x2p, alphas, feas = bfpde.engine._grid_samples(problem.box, problem.grid)
-        _, settled, _ = bfpde.engine._settled(g, [differentiate(g, n) for n in params.names], params, x1p[:, None],
-                                              x2p[None, :], feas.shape)
+        _, settled, _ = bfpde.engine._settled(g, [differentiate(g, n) for n in params.names], params, x1p, x2p)
         points = []
         original = bfpde.engine._gamma_stage
 
@@ -1728,7 +1737,7 @@ class TestCertifiedRoute:
                     if expr is g and ki < len(points):
                         alone = exact & ((values == want).sum(axis=0) == 1)
                         first = np.take(corners, pick(values, axis=0), axis=1)
-                        assert np.array_equal(points[ki][k][:, alone], first[:, alone])
+                        assert np.array_equal(points[ki][k][:, alone.ravel()], first[:, alone])
         return int(settled.sum()) * alphas.size
 
     def test_shipped_problems(self, monkeypatch):
@@ -1835,6 +1844,39 @@ class TestCertifiedRoute:
         assert self.assert_matches(monkeypatch, problem) == 7 * 6 * 5
         assert verify(problem).curves[1].approximate.any()
 
+    @staticmethod
+    def diagonal_open(grid: GridSpec, constrained: bool) -> ProblemSpec:
+        """The golden corpus's ``diagonal-open`` (constrained to x1 >= x2):
+        dG/dbeta = (x1 - x2)^2 vanishes on the diagonal alone, so only the
+        diagonal is open, a group that is not whole rows and columns."""
+        from test_golden import _corpus
+
+        problem = _corpus()["diagonal-open"]
+        return replace(problem, grid=grid, box=problem.box if constrained else replace(problem.box, constraint=None))
+
+    @pytest.mark.parametrize("constrained, outcome", [(True, BF_SOLUTION), (False, NOT_DIFFERENTIABLE)])
+    def test_an_open_group_that_is_not_whole_rows_and_columns(self, monkeypatch, constrained, outcome):
+        for n, n_alpha in ((9, 4), (41, 21)):
+            problem = self.diagonal_open(GridSpec(n, n, n_alpha), constrained)
+            assert self.assert_matches(monkeypatch, problem) == (n * n - n) * n_alpha
+            assert verify(problem).outcome == outcome
+        # the corner route (4 columns: beta's corners in each block), F's
+        # probe of beta (3) and the tie-break cover the 21 diagonal samples
+        # alone, not the rows and columns that hold them
+        shapes = []
+        original = bfpde.engine.evaluate
+
+        def recording(expr, binding):
+            value = original(expr, binding)
+            shapes.append(np.shape(value))
+            return value
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+        assert verify(self.diagonal_open(GridSpec(21, 21, 6), constrained)).outcome == outcome
+        monkeypatch.undo()
+        assert [shape for shape in shapes if shape[0] > 2 and math.prod(shape[1:]) > 21] == []
+        assert {(4, 21), (3, 21)} <= set(shapes)
+
     def test_random_monotone_instances(self, monkeypatch):
         rng = np.random.default_rng(31)
         settled = 0
@@ -1891,8 +1933,8 @@ class TestPlaneReductions:
         rng = np.random.default_rng(21)
         for _ in range(400):
             c, blocks = int(rng.choice([1, 2, 4, 8, 16])), int(rng.choice([1, 2]))
-            values = self.planted(rng, (blocks * c, rng.integers(1, 5), rng.integers(1, 5)))
-            index = np.arange(blocks * c, dtype=float).reshape(-1, 1, 1)
+            values = self.planted(rng, (blocks * c, rng.integers(1, 17)))
+            index = np.arange(blocks * c, dtype=float).reshape(-1, 1)
             # a random mask per end that keeps each block's first column
             keep = rng.random((2, c) + values.shape[1:]) < 0.8
             keep[:, 0] = True
@@ -1910,10 +1952,10 @@ class TestPlaneReductions:
 
     def test_first_extremal_corner_where_no_corner_attains_the_end(self):
         # a NaN end: the point is the first NaN column's, a valid column
-        values = np.array([[[1.0, np.nan]], [[np.nan, 2.0]], [[3.0, np.nan]]])
-        for end, ties, point in bfpde.engine._extremes(values, 1, [np.arange(3.0).reshape(3, 1, 1)]):
+        values = np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan]])
+        for end, ties, point in bfpde.engine._extremes(values, 1, [np.arange(3.0).reshape(3, 1)]):
             assert np.isnan(end).all()
-            assert point.tolist() == [[[1, 0]]]
+            assert point.tolist() == [[1, 0]]
             assert not ties.any()
 
 

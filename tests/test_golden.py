@@ -85,8 +85,9 @@ def _problem(name, g_text, f_text, params: dict, box, grid) -> ProblemSpec:
 
 def _corpus() -> dict[str, ProblemSpec]:
     """Problems covering the corner route at k = 1..4, the dense fallback with
-    and without certified parameters, crisp parameters beside fuzzy ones, and
-    ties among distinct corners."""
+    and without certified parameters, crisp parameters beside fuzzy ones,
+    ties among distinct corners, and an open group that is not whole rows and
+    columns."""
     grid = GridSpec(17, 13, 6)
     corpus = {}
     for k in (2, 3, 4):
@@ -133,6 +134,12 @@ def _corpus() -> dict[str, ProblemSpec]:
     corpus["crisp-gamma-upper-edge-tie"] = _problem(
         "crisp-gamma-upper-edge-tie", "ln(6 - x1)*beta*x2 + x2 + gamma", "beta * x2 / x1",
         {"beta": (0.25, 0.5, 0.75), "gamma": (1, 1, 1)}, WORKED_BOX, GridSpec(9, 7, 4))
+    # dG/dbeta = (x1 - x2)^2 vanishes on the diagonal alone, so only the
+    # diagonal is open: a group that is not whole rows and columns
+    corpus["diagonal-open"] = _problem(
+        "diagonal-open", "x1 + x2 + beta*(x1 - x2)^2 + gamma", "(1 + 2*beta*(x1 - x2)) / (1 - 2*beta*(x1 - x2))",
+        {"beta": (0.5, 1, 1.5), "gamma": (0, 1, 2)}, DomainBox(1.0, 1.2, 1.0, 1.2, constraint=parse("x1 - x2")),
+        GridSpec(9, 9, 4))
     rng = np.random.default_rng(7)
     for i in range(10):
         g_text, params, box = random_monotone_instance(rng)
@@ -181,6 +188,10 @@ CORPUS_GOLDEN = {
     "decreasing-certified-k3": (
         "dbb82339efe1e46f0cbe8aac92b557487bb488f63c80ea803cf17b12be8906c8",
         "ed40ebba8f30c1f2b52bf5476b77ee08243cef83ab42066a6b94b17299870adf",
+    ),
+    "diagonal-open": (
+        "8d0b6e220a1b459ce96e923b1989cc18e4693da0f288dc5778a06284cd9fa68b",
+        "62cc2127be16d3f408ca8233706573cb3faf0f7f5b2c901ca8238cb834e3ca23",
     ),
     "many-params-k2": (
         "47a079d902e1128cf7b79c805d8648bf17000b02d4953254e8b68fbb9aa61501",
