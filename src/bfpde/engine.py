@@ -26,7 +26,10 @@ some points of the cut box (:func:`_table`): a parameter whose cut has no width
 expression, is one value; a parameter certified one-signed at every sample of
 the table's group is pinned per sample, at the cut end its sign makes the
 expression least (the min block) or greatest (the max block); every other one
-spans 2 points (the corners) or, on the dense fallback, a lattice.  One
+spans 2 points (the corners) or, on the dense fallback, a lattice.  Both
+envelope ends share one leading block axis, from the table to Gamma: a
+table's values are ``(blocks, columns, samples)``, its ends and ties ``(2,
+samples)`` and its points ``(k, 2, samples)``, the lower end first.  One
 evaluator (:func:`_values`) and one selector (:func:`_extremes`) serve every
 table.  A slice's (x1, x2) samples are held flat, in sample order (x1
 slowest), and every group a table covers is a list of them: the whole slice,
@@ -39,7 +42,7 @@ every parameter live at alpha = 0 has a certified sign there or does not occur
 in the expression: the expression is monotone in each parameter there.
 
 Envelope: at a settled sample the table pins every live parameter, so it has
-one column per block and nothing to enumerate (the certified route).  The
+one column in each block and nothing to enumerate (the certified route).  The
 other samples take the corner route, on those samples alone, with a table that
 pins the parameters certified at all of them; a live parameter's partial is
 probed over the box center and all the corners, unless it is certified at
@@ -69,7 +72,8 @@ off the grid.
 
 Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
 likewise for the max), so Gamma substitutes those points into the symbolic
-partials, and its values are symbolic on every route.
+partials, each evaluated once per slice over both ends' points, and its values
+are symbolic on every route.
 
 Checks that consume approximate samples run at a widened tolerance
 (``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
@@ -387,53 +391,47 @@ def _flat_samples(x1p: np.ndarray, x2p: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(x1p, x2p.size), np.tile(x2p, x1p.size)
 
 
-def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray):
+def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray) -> list[np.ndarray]:
     """The parameter points at which a group of ``(q,)`` samples evaluates an
-    expression, columns first: one row per parameter, ``(C, 1)`` where it is
-    the same at every sample and ``(C, q)`` where it is pinned, or one
-    ``(k, 2, q)`` array where every parameter is pinned; and the number of
-    blocks, 2 (the min block, then the max block) where some parameter is
-    pinned and 1 (serving both ends) where none is.  ``signs`` are the
+    expression: one row per parameter, each broadcasting to ``(2, C, q)``,
+    whose leading axis is the block (the min block, then the max block) and
+    whose C columns are the points a block spans.  ``signs`` are the
     certified signs at the group's samples, ``(k, q)``, 0 where none.  A live
-    parameter (lo < hi) certified at every sample is pinned per sample: at the
-    cut end its sign makes the expression least in each column of the min
-    block, greatest in each of the max block.  Every other live one spans
-    ``density`` points, endpoints included, the first parameter fastest (2
-    points: the cut-box corners; more: a lattice, capped so that one over all
-    k parameters would hold at most ``BOX_SAMPLE_BUDGET`` points).  A
-    degenerate one is its one value."""
+    parameter (lo < hi) certified at every sample is pinned per sample,
+    ``(2, 1, q)``, the pinned rows being views of one array: at the cut end
+    its sign makes the expression least in the min block, greatest in the
+    max block.  Every other live one spans ``density`` points, ``(1, C, 1)``,
+    endpoints included, the first parameter fastest (2 points: the cut-box
+    corners; more: a lattice, capped so that one over all k parameters would
+    hold at most ``BOX_SAMPLE_BUDGET`` points).  A degenerate one is its one
+    value, ``(1, 1, 1)``."""
     pinned = (los < his) & signs.all(axis=1)
     spans = (los < his) & ~pinned
-    if pinned.any():  # each pinned parameter's (min end, max end) per sample
-        ab = np.stack([los, his], 1)[pinned][:, :, None]
-        ends = np.where((signs[pinned] > 0)[:, None], ab, ab[:, ::-1])
-        if pinned.all():  # one column per block, and the rows one array: a point is a view
-            return ends, 2
+    ab = np.stack([los, his], 1)[pinned][:, :, None, None]
+    ends = iter(np.where((signs[pinned] > 0)[:, None, None], ab, ab[:, ::-1]))
     n = min(density, max(2, int(BOX_SAMPLE_BUDGET ** (1.0 / los.size)))) if spans.any() else 1
     columns = np.arange(n ** int(spans.sum()))
     # the corners are the cut ends themselves (linspace's step overflows where
     # hi - lo does); a one-value row binds like a scalar: numpy's power, for
     # one, takes another loop for a full array of one value, which can differ
     # in the last bit
-    rows = [((np.array([lo, hi]) if n == 2 else np.linspace(lo, hi, n))[columns // n ** before % n] if span
-             else np.array([lo]))[:, None] for lo, hi, span, before in zip(los, his, spans, np.cumsum(spans) - spans)]
-    if not pinned.any():
-        return rows, 1
-    for j, end in zip(np.flatnonzero(pinned), ends):
-        rows[j] = np.repeat(end, columns.size, axis=0) if columns.size > 1 else end
-    return [np.concatenate([row, row]) if span else row for row, span in zip(rows, spans)], 2
+    return [next(ends) if pin else ((np.array([lo, hi]) if n == 2 else np.linspace(lo, hi, n))[columns // n ** b % n]
+                                    if span else np.array([lo]))[None, :, None]
+            for lo, hi, pin, span, b in zip(los, his, pinned, spans, np.cumsum(spans) - spans)]
 
 
 def _values(expr: Expression, names, rows, x1, x2, feas: np.ndarray) -> np.ndarray:
-    """expr at every column of a :func:`_table` and every sample of its group,
-    ``(C, q)``: ``x1`` and ``x2`` are the ``(q,)`` samples and ``feas`` marks
+    """expr at every point of a :func:`_table` and every sample of its group,
+    ``(B, C, q)``, B being 2 where a row is pinned and 1 where both ends read
+    one block: ``x1`` and ``x2`` are the ``(q,)`` samples and ``feas`` marks
     the feasible ones.  An evaluation error is retried at the feasible samples
-    alone, NaN at the others; if that fails too, the columns are replayed one
-    at a time and the first failing column's error is raised."""
-    shape = (max([len(row) for row in rows], default=1), feas.size)
+    alone, NaN at the others; if that fails too, the points are replayed one
+    at a time, block by block, and the first failing point's error is
+    raised."""
+    shape = np.broadcast(*rows, feas[None, None]).shape
 
-    def at_feasible(cols) -> dict:
-        binding = {name: np.broadcast_to(row, shape)[cols][:, feas] for name, row in zip(names, rows)}
+    def at_feasible(point) -> dict:
+        binding = {name: np.broadcast_to(row, shape)[point][..., feas] for name, row in zip(names, rows)}
         return dict(binding, x1=x1[feas], x2=x2[feas])
 
     try:
@@ -441,56 +439,51 @@ def _values(expr: Expression, names, rows, x1, x2, feas: np.ndarray) -> np.ndarr
     except EvalError:
         values = np.full(shape, np.nan)
     try:
-        values[:, feas] = _broadcast(evaluate(expr, at_feasible(slice(None))), (shape[0], int(feas.sum())))
+        values[..., feas] = _broadcast(evaluate(expr, at_feasible(...)), shape[:2] + (int(feas.sum()),))
     except EvalError:
-        for c in range(shape[0]):
-            evaluate(expr, at_feasible(slice(c, c + 1)))
+        for b, c in np.ndindex(shape[:2]):
+            evaluate(expr, at_feasible((slice(b, b + 1), slice(c, c + 1))))
         raise
     return values
 
 
-def _extremes(values: np.ndarray, blocks: int, rows=None, allowed=None):
-    """Per sample, the least of a :func:`_table`'s ``(C, q)`` ``values`` in
-    its min block and the greatest in its max block, over the columns
-    ``allowed`` marks (one mask per block) if given.  For each end: its
-    ``(q,)`` value and, given the table's ``rows``, whether more than one
-    column attains it and the ``(k, q)`` point at the first column attaining
-    it (the first NaN one where the end is NaN)."""
-    width, ends = len(values) // blocks, []
-    for b, (reduce, arg, pad) in enumerate(((np.min, np.argmin, np.inf), (np.max, np.argmax, -np.inf))):
-        offset = width * b * (blocks - 1)
-        block = values[offset:offset + width]
-        if allowed is not None:
-            block = np.where(allowed[b], block, pad)
-        end, first, tie = block[0], offset, np.zeros(block.shape[1:], dtype=bool)
-        if width > 1:
-            end = reduce(block, axis=0)
-        if width > 1 and rows is not None:  # argmin's pick is the first NaN where the end is NaN
-            first, tie = offset + arg(block, axis=0), (block == end).sum(axis=0) > 1
-        if rows is None:
-            point = None
-        elif isinstance(rows, np.ndarray):  # one column per block: a view
-            point = rows[:, first]
-        else:  # a (C, 1) row varies by column; a (C, q) one is pinned, one value per block
-            point = np.stack([np.broadcast_to(row[first, 0] if row.shape[1] == 1 < len(row) else
-                                              row[offset % len(row)], end.shape) for row in rows])
-        ends.append((end, tie, point))
-    return ends
+def _extremes(values: np.ndarray, rows=None, allowed=None):
+    """Per sample, the least of a :func:`_table`'s ``(B, C, q)`` ``values``
+    in its min block and the greatest in its max block, over the ``(2, C,
+    q)`` points ``allowed`` marks if given: the ``(2, q)`` ends, lower then
+    upper, and, given the table's ``rows``, whether more than one point
+    attains each, ``(2, q)``, and the ``(k, 2, q)`` parameter point at the
+    first column attaining it (the first NaN one where the end is NaN)."""
+    per_end = np.broadcast_to(values, (2,) + values.shape[1:])  # the min block, then the max block
+    if allowed is not None:
+        per_end = np.where(allowed, per_end, np.array([np.inf, -np.inf])[:, None, None])
+    one = per_end.shape[1] == 1  # one column: each end is its block's, and nothing ties
+    ends = per_end[:, 0] if one else np.stack([per_end[0].min(axis=0), per_end[1].max(axis=0)])
+    if rows is None:
+        return ends, None, None
+    # argmin's pick is the first NaN where the end is NaN
+    first = None if one else np.stack([per_end[0].argmin(axis=0), per_end[1].argmax(axis=0)])
+    ties = np.zeros(ends.shape, dtype=bool) if one else (per_end == ends[:, None]).sum(axis=1) > 1
+    # a pinned or one-value row is its block's; a spanning one is its column's
+    points = np.stack([np.broadcast_to(row[:, 0] if row.shape[1] == 1 else row[0, first, 0], ends.shape)
+                       for row in rows])
+    return ends, ties, points
 
 
 def _reduce(expr: Expression, names, los, his, density: int, signs, x1, x2, feas, with_points: bool):
     """expr's :func:`_table` at ``density`` over a group of samples, its
-    values and :func:`_extremes` (points too if ``with_points``).  Where the
+    values and their :func:`_extremes` (ties and points too if
+    ``with_points``), as ``rows, values, ends, ties, points``.  Where the
     pinned ends tie or cross, which only rounding does, the sample loses its
     pins and the group's table is built again, once: a group with such a
     sample pins nothing."""
     while True:
-        rows, blocks = _table(los, his, density, signs)
+        rows = _table(los, his, density, signs)
         values = _values(expr, names, rows, x1, x2, feas)
-        low, high = _extremes(values, blocks, rows if with_points else None)
-        crossed = blocks == 2 and ~(low[0] < high[0])
+        ends, ties, points = _extremes(values, rows if with_points else None)
+        crossed = len(values) == 2 and ~(ends[0] < ends[1])
         if not np.any(crossed):
-            return rows, blocks, values, low, high
+            return rows, values, ends, ties, points
         signs = np.where(crossed, 0, signs)
 
 
@@ -499,12 +492,12 @@ def _sign_fallback(partials, names, los, his, x1, x2, feas) -> np.ndarray:
     parameter's partial (in ``partials``, None where its sign needs no probe)
     takes strictly opposite signs across the box center and the 2^m
     corners."""
-    corners, _ = _table(los, his, 2, np.zeros((los.size, 1), dtype=np.int8))
-    probes = [np.concatenate([np.full_like(row[:1], 0.5 * lo + 0.5 * hi), row]) if lo < hi else row
+    corners = _table(los, his, 2, np.zeros((los.size, 1), dtype=np.int8))
+    probes = [np.concatenate([np.full_like(row[:, :1], 0.5 * lo + 0.5 * hi), row], axis=1) if lo < hi else row
               for row, lo, hi in zip(corners, los, his)]
     fallback = np.zeros(feas.shape, dtype=bool)
     for partial in (d for d, lo, hi in zip(partials, los, his) if lo < hi and d is not None):
-        d = _values(partial, names, probes, x1, x2, feas)
+        d = _values(partial, names, probes, x1, x2, feas)[0]
         fallback |= (d > 0.0).any(axis=0) & (d < 0.0).any(axis=0)
     return fallback
 
@@ -579,43 +572,49 @@ def _grid_samples(box: DomainBox, grid: GridSpec):
     return x1p, x2p, alphas, feasible_mask(box, x1p[:, None], x2p[None, :], (grid.n_x1, grid.n_x2))
 
 
-def _tie_break(x_partials, names, route, tied, x1, x2, feas, axes) -> list[np.ndarray]:
-    """The points of the corner route (``route``, its :func:`_reduce` on the
-    ``(q,)`` samples ``x1``, ``x2``) at the ``tied`` samples, where distinct
-    columns of one block tie for an end (e.g. the partial vanishes along an
-    axis): the first tied column whose d . grad_x G (``x_partials``: dG/dx1,
-    dG/dx2) is least for the lower end and greatest for the upper, d being the
-    range of each sampled axis in ``axes`` (backward at its last sample)."""
-    rows, blocks, values, low, high = route
-    rows, x = [row if row.shape[1] == 1 else row[:, tied] for row in rows], (x1[tied], x2[tied])
+def _tie_break(x_partials, names, rows, values, ends, tied, x1, x2, feas, axes) -> np.ndarray:
+    """The ``(k, 2, t)`` points of the corner route (its table's ``rows``,
+    ``values`` and ``ends`` on the ``(q,)`` samples ``x1``, ``x2``) at the t
+    ``tied`` samples, where distinct columns of one block tie for an end (e.g.
+    the partial vanishes along an axis): the first tied column whose
+    d . grad_x G (``x_partials``: dG/dx1, dG/dx2) is least for the lower end
+    and greatest for the upper, d being the range of each sampled axis in
+    ``axes`` (backward at its last sample)."""
+    rows, x = [row if row.shape[2] == 1 else row[..., tied] for row in rows], (x1[tied], x2[tied])
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at an infeasible sample
         score = sum(np.where(xs < a[-1], a[-1] - a[0], a[0] - a[-1]) * _values(d, names, rows, *x, feas[tied])
                     for xs, a, d in zip(x, axes, x_partials))
-    width = len(values) // blocks
-    allowed = [values[width * b * (blocks - 1):][:width, tied] == end[0][tied] for b, end in enumerate((low, high))]
-    return [end[2] for end in _extremes(score, blocks, rows, allowed)]
+    return _extremes(score, rows, values[..., tied] == ends[:, None, tied])[2]
 
 
-def _gamma_stage(x_partials, names, points, x1, x2, feas, alpha: float, denom_tol: float):
-    """Gamma's lower and upper end on one slice of ``(q,)`` samples.  By
-    Danskin's theorem each envelope end moves with G at the ``(k, q)``
-    parameter point attaining it, so its x-partials (``x_partials``, dG/dx1
-    and dG/dx2) are G's there.  Raises :class:`NearZeroDenominatorError` where
-    |dG/dx2| < denom_tol, and :class:`NonFiniteValueError` where Gamma is NaN
-    or infinite, each at the first such feasible sample."""
-    ends = []
-    for point in points:
-        num, den = (_values(d, names, point[:, None], x1, x2, feas)[0] for d in x_partials)
+def _gamma_stage(x_partials, names, points, x1, x2, feas, alpha: float, denom_tol: float) -> np.ndarray:
+    """Gamma's lower and upper end on one slice of ``(q,)`` samples, ``(2,
+    q)``.  By Danskin's theorem each envelope end moves with G at the ``(k,
+    2, q)`` parameter point attaining it, so its x-partials (``x_partials``,
+    dG/dx1 and dG/dx2) are G's there: each is evaluated once over both ends.
+    Raises :class:`NearZeroDenominatorError` where |dG/dx2| < denom_tol, and
+    :class:`NonFiniteValueError` where Gamma is NaN or infinite, each at the
+    first such feasible sample.  The lower end's failure comes first: where an
+    evaluation fails at any sample, the ends are taken again one at a time,
+    each failing only where it fails at a feasible sample."""
+
+    def quotient(ends, evaluated: np.ndarray) -> np.ndarray:
+        num, den = (_values(d, names, [p[:, None] for p in ends], x1, x2, evaluated)[:, 0] for d in x_partials)
         bad = feas & (np.abs(den) < denom_tol)
         if bad.any():
-            i = int(bad.argmax())
-            raise NearZeroDenominatorError(float(x1[i]), float(x2[i]), alpha, float(den[i]))
+            b, i = np.unravel_index(int(bad.argmax()), bad.shape)
+            raise NearZeroDenominatorError(float(x1[i]), float(x2[i]), alpha, float(den[b, i]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ends.append(np.divide(num, den))
-    error = _non_finite({"lower Gamma": ends[0], "upper Gamma": ends[1]}, feas, x1, x2, alpha)
+            return np.divide(num, den)
+
+    try:
+        gamma = quotient(points, np.ones_like(feas))
+    except EvalError:
+        gamma = np.concatenate([quotient(points[:, b:b + 1], feas) for b in range(2)])
+    error = _non_finite({"lower Gamma": gamma[0], "upper Gamma": gamma[1]}, feas, x1, x2, alpha)
     if error is not None:
         raise error
-    return ends
+    return gamma
 
 
 def _alpha_pass(
@@ -665,9 +664,10 @@ def _alpha_pass(
     probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
     pins = np.where(signs == 0, np.int8(1), signs)
     parts = ("envelope", "gamma") if candidate else ("envelope",)
-    # alpha-major buffers: every slice lands in one contiguous block
+    # alpha-major buffers, lower end then upper: every slice of an end lands
+    # in one contiguous block
     planes = (alphas.size, ok.size)
-    env, approx = (np.empty(planes), np.empty(planes)), np.zeros(planes, dtype=bool)
+    env, approx = np.empty((2,) + planes), np.zeros(planes, dtype=bool)
     if candidate:
         x_partials = differentiate(expr, "x1"), differentiate(expr, "x2")
         d2 = x_partials[1]
@@ -675,33 +675,32 @@ def _alpha_pass(
         # the structure scan's samples: all of them, until alpha = 0 bounds
         # every later cut where G and dG/dx2 are proved monotone
         scan = np.arange(ok.size)
-        gam = np.empty(planes), np.empty(planes)
+        gam = np.empty((2,) + planes)
     result, slots = _AlphaPass(), []
     what = label or f"{role} envelope"
     for ki, alpha in enumerate(alphas.tolist()):
         los, his = _cut_arrays(params, alpha)
         his_e = np.where(uses, his, los)  # a parameter absent from expr is bound at lo
-        lower, upper = env[0][ki], env[1][ki]
-        points, open_ = [np.empty((len(names), ok.size)) for _ in range(2)], ~settled
+        ends, points, open_ = env[:, ki], np.empty((len(names), 2, ok.size)), ~settled
         try:
             if settled.any():
-                table, blocks = _table(los, his_e, 2, pins)
-                low, high = _extremes(_values(expr, names, table, x1, x2, ok), blocks, table if candidate else None)
-                lower[:], upper[:], points = low[0], high[0], [low[2], high[2]]
-                open_ |= (blocks == 2) & ~(low[0] < high[0])  # pinned ends that tie or cross lose their pins
-            route, at = None, np.flatnonzero(open_)
+                table = _table(los, his_e, 2, pins)
+                values = _values(expr, names, table, x1, x2, ok)
+                ends[:], _, points = _extremes(values, table if candidate else None)
+                open_ |= (len(values) == 2) & ~(ends[0] < ends[1])  # pinned ends that tie or cross lose their pins
+            at = np.flatnonzero(open_)
             if at.size:  # the corner route, on the open samples
                 x1r, x2r, ok_r = x1[at], x2[at], ok[at]
                 signs_r = np.where(settled[at], 0, signs[:, at])
-                route = _reduce(expr, names, los, his_e, 2, signs_r, x1r, x2r, ok_r, candidate)
-                lower[at], upper[at] = route[3][0], route[4][0]
+                rows, values, ends[:, at], ties, pts = _reduce(expr, names, los, his_e, 2, signs_r, x1r, x2r, ok_r,
+                                                               candidate)
             if candidate and scan.size:
                 x1s, x2s, ok_s = x1[scan], x2[scan], ok[scan]
-                d2_ends = np.stack([end[0] for end in _reduce(d2, names, los, np.where(d2_uses, his, los), 2,
-                                                               d2_signs[:, scan], x1s, x2s, ok_s, False)[3:]])
+                _, _, d2_ends, _, _ = _reduce(d2, names, los, np.where(d2_uses, his, los), 2, d2_signs[:, scan], x1s,
+                                              x2s, ok_s, False)
                 # the tables' ends, before the lattice: a table value that is
                 # NaN or infinite makes an end so
-                g_ends = np.stack([lower[scan], upper[scan]])
+                g_ends = ends[:, scan]
                 finite = np.isfinite(g_ends).all(axis=0) & np.isfinite(d2_ends).all(axis=0)
                 if not finite[ok_s].all():
                     result.fail(("structure",), _non_finite({"cut-box corner value of G": g_ends,
@@ -722,31 +721,30 @@ def _alpha_pass(
             continue
         if all(part in result.errors for part in parts):
             continue  # every curve this slice feeds has already failed
-        if route is not None:
-            pts = [route[3][2], route[4][2]]
+        if at.size:
             try:
                 fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, ok_r)
                 if fb.any():
-                    lattice = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb], x1r[fb], x2r[fb],
-                                      ok_r[fb], candidate)
+                    _, _, fb_ends, _, fb_points = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb],
+                                                          x1r[fb], x2r[fb], ok_r[fb], candidate)
                     approx[ki][at] = fb  # the open samples keep their order
-                    lower[approx[ki]], upper[approx[ki]] = lattice[3][0], lattice[4][0]
+                    ends[:, approx[ki]] = fb_ends
                     if candidate:
-                        pts[0][:, fb], pts[1][:, fb] = lattice[3][2], lattice[4][2]
+                        pts[:, :, fb] = fb_points
             except EvalError as err:
                 result.fail(parts, err)
                 continue
-        result.fail(("envelope",), _non_finite({f"lower {what}": lower, f"upper {what}": upper}, ok, x1, x2, alpha))
+        result.fail(("envelope",), _non_finite({f"lower {what}": ends[0], f"upper {what}": ends[1]}, ok, x1, x2, alpha))
         if not candidate or "gamma" in result.errors:
             continue
         try:
-            if route is not None:
-                tied = ~fb & (route[3][1] | route[4][1])
+            if at.size:
+                tied = ~fb & ties.any(axis=0)
                 if tied.any():
-                    pts[0][:, tied], pts[1][:, tied] = _tie_break(x_partials, names, route, tied, x1r, x2r, ok_r,
-                                                                  (x1p, x2p))
-                points[0][:, at], points[1][:, at] = pts
-            gam[0][ki], gam[1][ki] = _gamma_stage(x_partials, names, points, x1, x2, ok, alpha, denom_tol)
+                    pts[:, :, tied] = _tie_break(x_partials, names, rows, values, ends[:, at], tied, x1r, x2r, ok_r,
+                                                 (x1p, x2p))
+                points[:, :, at] = pts
+            gam[:, ki] = _gamma_stage(x_partials, names, points, x1, x2, ok, alpha, denom_tol)
         except (EvalError, NearZeroDenominatorError, NonFiniteValueError) as err:
             result.fail(("gamma",), err)
 

@@ -269,6 +269,33 @@ class TestGammaCurves:
         assert np.abs(gam.lower - want).max() < 1e-14
         assert np.abs(gam.upper - want).max() < 1e-14
 
+    def test_a_tie_at_the_pinned_upper_end_keeps_the_exact_points(self):
+        # gamma*1e307 absorbs x1^beta at the upper end, so corners other than
+        # the pinned one tie with it while the two ends stay apart; Gamma is
+        # still beta's cut end times x2/x1, lower and upper
+        g = parse("x1^beta*x2 + gamma*1e307", P)
+        gam = gamma_curves(g, worked_params(), DomainBox(1.0, 5.0, 0.0, 5.0, x2_min_open=True), GridSpec(9, 7, 5))
+        x2_over_x1 = gam.x2[None, :, None] / gam.x1[:, None, None]
+        for end, beta in ((gam.lower, 0.25 + 0.25 * gam.alpha), (gam.upper, 0.75 - 0.25 * gam.alpha)):
+            want = beta * x2_over_x1
+            assert (np.abs(end - want) <= 1e-15 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("lower_c, upper_c, raised, location", [
+        # the lower end's near-zero denominator before the upper end's domain error
+        ([0.5, 0.5, 0.5], [-1.0, -1.0, -1.0], NearZeroDenominatorError, (1.0, 1.0, 0.5)),
+        # the lower end's domain error before the upper end's near-zero denominator
+        ([-1.0, -1.0, -1.0], [0.5, 0.5, 0.5], EvalDomainError, None),
+        # the lower end's near-zero denominator at its sample, not the upper's earlier one
+        ([2.0, 2.0, 0.5], [0.5, 2.0, 2.0], NearZeroDenominatorError, (3.0, 3.0, 0.5)),
+    ])
+    def test_the_lower_end_fails_first(self, lower_c, upper_c, raised, location):
+        # dG/dx1 = sqrt(c), dG/dx2 = c - 0.5 at each end's synthetic point c
+        x_partials, x = (parse("sqrt(c)", ("c",)), parse("c - 0.5", ("c",))), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(raised) as error:
+            bfpde.engine._gamma_stage(x_partials, ("c",), np.array([[lower_c, upper_c]]), x, x, np.ones(3, dtype=bool),
+                                      0.5, 1e-10)
+        assert getattr(error.value, "location", None) == location
+
     def test_near_zero_denominator_raises(self):
         # min over beta of (beta-0.5)^2 is 0 once 0.5 enters the cut, so the
         # lower envelope loses its x-dependence
@@ -591,37 +618,40 @@ class TestVerify:
         return calls
 
     def test_one_pass_over_g_serves_structure_y_and_gamma(self, monkeypatch):
-        # Every evaluate call counts.  beta's partial x1^beta*ln(x1)*x2
-        # vanishes on the x1 = 1 row, so the certificate settles every other
-        # sample, and each level evaluates G, and F, over the table that pins
-        # every parameter: one column per block.  The x1 = 1 row takes the
-        # corner route, whose table pins gamma there and spans beta's 2
-        # corners in each block; it probes beta (the center and the 4
-        # corners) and breaks ties (x1^beta = 1 ties every beta) by dG/dx1
-        # and dG/dx2 over that table.  Structure reads G's least value from
-        # those tables, and dG/dx2 = x1^beta from its own table, which spans
-        # beta (uncertified on the row), at every sample at alpha = 0 and on
-        # the row above it.  Gamma's numerator and denominator come at each
-        # end's point, on every sample of the 11 levels.  Every group is a
-        # flat list of samples: the 441 of a slice or the row's 21.
+        # Every evaluate call counts, its shape (blocks, columns, samples).
+        # beta's partial x1^beta*ln(x1)*x2 vanishes on the x1 = 1 row, so the
+        # certificate settles every other sample, and each level evaluates G,
+        # and F, over the table that pins every parameter: one column in each
+        # of the two blocks.  The x1 = 1 row takes the corner route, whose
+        # table pins gamma there and spans beta's 2 corners; it probes beta
+        # (the center and the 4 corners, one block) and breaks ties
+        # (x1^beta = 1 ties every beta) by dG/dx1 and dG/dx2 over that table,
+        # in which neither uses the pinned gamma.  Structure reads G's least
+        # value from those tables, and dG/dx2 = x1^beta from its own table,
+        # which spans beta (uncertified on the row), at every sample at
+        # alpha = 0 and on the row above it.  Gamma's numerator and
+        # denominator are each evaluated once per level at both ends' points,
+        # on every sample of the 11 levels.  Every group is a flat list of
+        # samples: the 441 of a slice or the row's 21.
         calls = self._count_evaluations(monkeypatch, worked_problem())
         assert Counter(calls) == {
-            # G and F on the certified route below alpha = 1; dG/dx2's table at alpha = 0
-            (2, 441): 2 * 10 + 1,
-            # the row's table, tie-break and probe below alpha = 1
-            (4, 21): 10 + 2 * 10, (5, 21): 10,
-            (1, 441): 2 + 4 * 11,  # G and F at alpha = 1, where every cut is a point; Gamma
-            (1, 21): 1 + 1,  # the row at alpha = 1: G's table and dG/dx2's
-            (2, 21): 9,  # dG/dx2's table on the row, between alpha = 0 and 1
+            (2, 1, 441): 2 * 10 + 2 * 11,  # G and F on the certified route below alpha = 1; Gamma
+            (1, 2, 441): 1,  # dG/dx2's table at alpha = 0
+            # the row's table, probe and tie-break below alpha = 1, and
+            # dG/dx2's table on the row between alpha = 0 and 1
+            (2, 2, 21): 10, (1, 5, 21): 10, (1, 2, 21): 2 * 10 + 9,
+            (1, 1, 441): 2,  # G and F at alpha = 1, where every cut is a point
+            (1, 1, 21): 1 + 1,  # the row at alpha = 1: G's table and dG/dx2's
         }
 
     def test_no_wide_corner_table_at_any_alpha(self, monkeypatch):
         # every sample is settled at k = 12, for G, dG/dx2 and F alike: every
-        # table pins all 12 parameters, so no evaluation spans the 2^12 corners
+        # table pins all 12 parameters, so no evaluation spans the 2^12
+        # corners; each has one column, in two blocks (one at alpha = 1)
         problem = replace(self.many_params_problem(12), grid=GridSpec(21, 21, 6))
         calls = self._count_evaluations(monkeypatch, problem)
         assert [shape for shape in calls if 4096 in shape] == []
-        assert {shape[0] for shape in calls} == {1, 2}
+        assert {shape[:2] for shape in calls} == {(1, 1), (2, 1)}
 
     def test_the_probe_runs_only_on_unsettled_samples(self, monkeypatch):
         # boundary_example.json: beta's partial is uncertified only on the
@@ -641,7 +671,7 @@ class TestVerify:
         monkeypatch.setattr(bfpde.engine, "evaluate", recording)
         assert verify(problem).outcome == BF_SOLUTION
         x1p, x2p, _ = bfpde.engine.grid_axes(problem.box, problem.grid)
-        row, edge = ((5, 21), [1.0], x2p.tolist()), ((5, 21), x1p.tolist(), [0.0])
+        row, edge = ((1, 5, 21), [1.0], x2p.tolist()), ((1, 5, 21), x1p.tolist(), [0.0])
         assert shapes == [row] * 10 + [edge] * 10
 
     @staticmethod
@@ -685,7 +715,7 @@ class TestVerify:
             original = bfpde.engine._tie_break
 
             def recording(*args):
-                tied.append(int(args[3].sum()))
+                tied.append(int(args[5].sum()))
                 return original(*args)
 
             monkeypatch.setattr(bfpde.engine, "_tie_break", recording)
@@ -1060,10 +1090,11 @@ class TestProbeAxis:
         fallbacks = 0
         for alpha in alphas:
             los, his = bfpde.engine._cut_arrays(params, float(alpha))
-            table, blocks = bfpde.engine._table(los, his, 2, np.zeros((len(names), 1), dtype=np.int8))
-            assert blocks == 1
+            table = bfpde.engine._table(los, his, 2, np.zeros((len(names), 1), dtype=np.int8))
+            assert all(row.shape[0] == row.shape[2] == 1 for row in table)  # one block, the same at every sample
             for expr in exprs:
                 got = bfpde.engine._values(expr, names, table, x1, x2, feas)
+                assert got.shape[::2] == (1, x1.size)
                 want = self.per_corner_values(expr, names, los, his, base, shape)
                 assert np.ascontiguousarray(got).tobytes() == want.tobytes()
             want = self.per_probe_fallback(g, names, los, his, base, shape).ravel()
@@ -1484,7 +1515,7 @@ class TestDanskinGamma:
         monkeypatch.undo()
         y_curve, f_curve, _ = verdict.curves
         lattice = bfpde.engine.FALLBACK_BOX_SAMPLES  # one parameter: 33 lattice points
-        wide = [expr for expr, shape in calls if len(shape) == 2 and shape[0] == lattice]
+        wide = [expr for expr, shape in calls if len(shape) == 3 and shape[1] == lattice]
         slices = [int(c.approximate.any(axis=(0, 1)).sum()) for c in (y_curve, f_curve)]
         assert slices[0] == problem.grid.n_alpha - 1
         assert wide == [problem.g] * slices[0] + [problem.f] * slices[1]
@@ -1617,11 +1648,11 @@ class TestPinnedLattice:
         self.assert_matches_full_lattice(self.decreasing())
 
     def test_certified_parameters_leave_the_lattice(self, monkeypatch):
-        # b alone spans the lattice: 33 points, once for the min and once for
-        # the max half of the table, where b and c (and d) would make 33^k
+        # b alone spans the lattice: 33 columns, in the min and the max block
+        # of the table, where b and c (and d) would make 33^k
         for problem, full in ((self.non_monotone(11, GridSpec(41, 41, 11)), 33 ** 2), (self.decreasing(), 33 ** 3)):
-            widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
-            assert full not in widths and 2 * 33 in widths
+            tables = {shape[:2] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 3}
+            assert full not in {columns for _, columns in tables} and (2, 33) in tables
 
     def test_interval_work_once_per_pass_and_live_parameter(self, monkeypatch):
         # before the first slice of each pass: G (and dG/dx2), F, then the
@@ -1650,7 +1681,7 @@ class TestPinnedLattice:
 
     def test_a_partial_signed_at_every_probe_but_not_between_stays_a_lattice_axis(self, monkeypatch):
         problem = self.cos_guard()
-        widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 2}
+        widths = {shape[1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 3}
         assert 33 ** 2 in widths
         self.assert_matches_full_lattice(problem)
 
@@ -1715,7 +1746,7 @@ class TestCertifiedRoute:
         original = bfpde.engine._gamma_stage
 
         def recording(x_partials, names, slice_points, *args):
-            points.append([p.copy() for p in slice_points])
+            points.append(slice_points.copy())
             return original(x_partials, names, slice_points, *args)
 
         monkeypatch.setattr(bfpde.engine, "_gamma_stage", recording)
@@ -1737,7 +1768,7 @@ class TestCertifiedRoute:
                     if expr is g and ki < len(points):
                         alone = exact & ((values == want).sum(axis=0) == 1)
                         first = np.take(corners, pick(values, axis=0), axis=1)
-                        assert np.array_equal(points[ki][k][:, alone.ravel()], first[:, alone])
+                        assert np.array_equal(points[ki][:, k][:, alone.ravel()], first[:, alone])
         return int(settled.sum()) * alphas.size
 
     def test_shipped_problems(self, monkeypatch):
@@ -1831,7 +1862,7 @@ class TestCertifiedRoute:
         approximate = verify(problem).curves[0].approximate
         assert approximate[:, :, :-1].all() if b[0] < 1.0 else not approximate.any()
         # no table spans the 2^9 corners; the probe of b still does, center included
-        widths = {shape[0] for shape in TestVerify._count_evaluations(monkeypatch, problem)}
+        widths = {shape[1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 3}
         assert 2 ** 9 not in widths and 2 ** 9 + 1 in widths
 
     def test_settled_g_beside_an_unsettled_partial(self, monkeypatch):
@@ -1860,9 +1891,9 @@ class TestCertifiedRoute:
             problem = self.diagonal_open(GridSpec(n, n, n_alpha), constrained)
             assert self.assert_matches(monkeypatch, problem) == (n * n - n) * n_alpha
             assert verify(problem).outcome == outcome
-        # the corner route (4 columns: beta's corners in each block), F's
-        # probe of beta (3) and the tie-break cover the 21 diagonal samples
-        # alone, not the rows and columns that hold them
+        # the corner route (beta's 2 corners in each of 2 blocks), F's probe
+        # of beta (3 points, one block) and the tie-break cover the 21
+        # diagonal samples alone, not the rows and columns that hold them
         shapes = []
         original = bfpde.engine.evaluate
 
@@ -1874,8 +1905,8 @@ class TestCertifiedRoute:
         monkeypatch.setattr(bfpde.engine, "evaluate", recording)
         assert verify(self.diagonal_open(GridSpec(21, 21, 6), constrained)).outcome == outcome
         monkeypatch.undo()
-        assert [shape for shape in shapes if shape[0] > 2 and math.prod(shape[1:]) > 21] == []
-        assert {(4, 21), (3, 21)} <= set(shapes)
+        assert [shape for shape in shapes if math.prod(shape[:-1]) > 2 and shape[-1] > 21] == []
+        assert {(2, 2, 21), (1, 3, 21)} <= set(shapes)
 
     def test_random_monotone_instances(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -1890,9 +1921,10 @@ class TestCertifiedRoute:
 
 class TestPlaneReductions:
     """The checks reduce their residuals one alpha plane at a time and the
-    selector (:func:`bfpde.engine._extremes`) finds each block's first
-    extremal column without a strided argmin; both must pick exactly what one
-    whole-grid reduction picks, ties, NaN and infinities included."""
+    selector (:func:`bfpde.engine._extremes`) reads the lower end from the
+    min block of a table's ``(B, C, q)`` values and the upper end from its
+    max block; each must pick exactly what a plain scan picks, ties, NaN and
+    infinities included."""
 
     @staticmethod
     def planted(rng, shape):
@@ -1927,36 +1959,74 @@ class TestPlaneReductions:
             assert np.array_equal(got[0], float(flat[pos]), equal_nan=True)
             assert got[1] == tuple(float(ax[i]) for ax, i in zip(alpha_major, pos))
 
+    @staticmethod
+    def first_extremal(block, least: bool):
+        """Per sample of a ``(C, q)`` block, one column at a time: the least
+        (or greatest) value, NaN if any is, the first column holding it and
+        whether another column holds it too."""
+        ends, firsts, ties = [], [], []
+        for column in block.T.tolist():
+            nan = [i for i, v in enumerate(column) if v != v]
+            end = math.nan if nan else (min if least else max)(column)
+            hits = nan[:1] if nan else [i for i, v in enumerate(column) if v == end]
+            ends.append(end), firsts.append(hits[0]), ties.append(len(hits) > 1)
+        return np.array(ends), np.array(firsts), np.array(ties)
+
     def test_first_extremal_corner_matches_argmin_and_argmax(self):
-        # one block serves both ends, or two split the columns in halves; a
-        # row holding each column's index reads back the column picked
+        # one block serves both ends, or each end has its own; a spanning row
+        # holding each column's index reads back the column picked, a pinned
+        # row reads back its block's value, a one-value row its value
         rng = np.random.default_rng(21)
         for _ in range(400):
-            c, blocks = int(rng.choice([1, 2, 4, 8, 16])), int(rng.choice([1, 2]))
-            values = self.planted(rng, (blocks * c, rng.integers(1, 17)))
-            index = np.arange(blocks * c, dtype=float).reshape(-1, 1)
+            blocks, c, q = int(rng.choice([1, 2])), int(rng.choice([1, 2, 4, 8, 16])), int(rng.integers(1, 17))
+            values = self.planted(rng, (blocks, c, q))
+            rows = [np.arange(c, dtype=float)[None, :, None], rng.normal(size=(2, 1, q)), np.array([[[7.0]]])]
             # a random mask per end that keeps each block's first column
-            keep = rng.random((2, c) + values.shape[1:]) < 0.8
+            keep = rng.random((2, c, q)) < 0.8
             keep[:, 0] = True
             for allowed in (None, keep):
-                ends = bfpde.engine._extremes(values, blocks, [index], allowed)
-                for b, ((end, ties, point), reduce, arg, pad) in enumerate(zip(
-                        ends, (np.min, np.max), (np.argmin, np.argmax), (np.inf, -np.inf))):
-                    offset = b * c * (blocks - 1)
-                    block = values[offset:offset + c]
-                    if allowed is not None:
-                        block = np.where(keep[b], block, pad)
-                    assert np.array_equal(end, reduce(block, axis=0), equal_nan=True)
-                    assert np.array_equal(point[0], arg(block, axis=0) + offset)
-                    assert np.array_equal(ties, (block == end).sum(axis=0) > 1)
+                ends, ties, points = bfpde.engine._extremes(values, rows, allowed)
+                assert ends.shape == ties.shape == (2, q) and points.shape == (3, 2, q)
+                for b, pad in enumerate((np.inf, -np.inf)):
+                    block = values[b % blocks] if allowed is None else np.where(keep[b], values[b % blocks], pad)
+                    end, first, tie = self.first_extremal(block, least=b == 0)
+                    assert np.array_equal(ends[b], end, equal_nan=True)
+                    assert np.array_equal(ties[b], tie)
+                    assert np.array_equal(points[:, b], [first, rows[1][b, 0], np.full(q, 7.0)])
+            # without rows, the ends alone
+            plain, with_rows = bfpde.engine._extremes(values), bfpde.engine._extremes(values, rows)
+            assert np.array_equal(plain[0], with_rows[0], equal_nan=True) and plain[1:] == (None, None)
 
     def test_first_extremal_corner_where_no_corner_attains_the_end(self):
         # a NaN end: the point is the first NaN column's, a valid column
-        values = np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan]])
-        for end, ties, point in bfpde.engine._extremes(values, 1, [np.arange(3.0).reshape(3, 1)]):
-            assert np.isnan(end).all()
-            assert point.tolist() == [[1, 0]]
-            assert not ties.any()
+        values = np.array([[[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan]]])
+        ends, ties, points = bfpde.engine._extremes(values, [np.arange(3.0).reshape(1, 3, 1)])
+        assert np.isnan(ends).all()
+        assert points.tolist() == [[[1, 0], [1, 0]]]
+        assert not ties.any()
+
+    def test_every_row_kind_broadcasts_to_blocks_columns_samples(self):
+        # a, d pinned (d decreasing), b and e spanning (e is not certified at
+        # every sample), c degenerate; the spanning rows list the lattice,
+        # the first of them fastest
+        los, his, q = np.array([0.0, 1.0, 2.0, 3.0, 5.0]), np.array([1.0, 2.0, 2.0, 4.0, 6.0]), 7
+        signs = np.zeros((5, q), dtype=np.int8)
+        signs[0], signs[3], signs[4, :3] = 1, -1, 1
+        for density in (2, 5):
+            rows = bfpde.engine._table(los, his, density, signs)
+            c = density ** 2
+            assert [row.shape for row in rows] == [(2, 1, q), (1, c, 1), (1, 1, 1), (2, 1, q), (1, c, 1)]
+            assert np.broadcast_shapes(*(row.shape for row in rows)) == (2, c, q)
+            assert rows[0].base is rows[3].base is not None  # the pinned rows are views of one array
+            assert rows[0][:, 0].tolist() == [[0.0] * q, [1.0] * q] and rows[3][:, 0].tolist() == [[4.0] * q, [3.0] * q]
+            assert rows[2].item() == 2.0
+            axis = [np.linspace(lo, hi, density) for lo, hi in ((1.0, 2.0), (5.0, 6.0))]
+            lattice = [(u, v) for v in axis[1] for u in axis[0]]
+            assert list(zip(rows[1].ravel().tolist(), rows[4].ravel().tolist())) == lattice
+            x = np.linspace(1.0, 2.0, q)
+            g = parse("a*x1 - d*x2 + b*e + c", ("a", "b", "c", "d", "e"))
+            got = bfpde.engine._values(g, ("a", "b", "c", "d", "e"), rows, x, x, np.ones(q, dtype=bool))
+            assert got.shape == (2, c, q)
 
 
 class TestCheckMemory:
