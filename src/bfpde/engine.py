@@ -402,14 +402,14 @@ def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray) ->
     its sign makes the expression least in the min block, greatest in the
     max block.  Every other live one spans ``density`` points, ``(1, C, 1)``,
     endpoints included, the first parameter fastest (2 points: the cut-box
-    corners; more: a lattice, capped so that one over all k parameters would
-    hold at most ``BOX_SAMPLE_BUDGET`` points).  A degenerate one is its one
+    corners; more: a lattice over the spanning parameters, capped at
+    ``BOX_SAMPLE_BUDGET`` points).  A degenerate one is its one
     value, ``(1, 1, 1)``."""
     pinned = (los < his) & signs.all(axis=1)
     spans = (los < his) & ~pinned
     ab = np.stack([los, his], 1)[pinned][:, :, None, None]
     ends = iter(np.where((signs[pinned] > 0)[:, None, None], ab, ab[:, ::-1]))
-    n = min(density, max(2, int(BOX_SAMPLE_BUDGET ** (1.0 / los.size)))) if spans.any() else 1
+    n = min(density, max(2, int(BOX_SAMPLE_BUDGET ** (1.0 / spans.sum())))) if spans.any() else 1
     columns = np.arange(n ** int(spans.sum()))
     # the corners are the cut ends themselves (linspace's step overflows where
     # hi - lo does); a one-value row binds like a scalar: numpy's power, for

@@ -1685,6 +1685,23 @@ class TestPinnedLattice:
         assert 33 ** 2 in widths
         self.assert_matches_full_lattice(problem)
 
+    def test_the_lattice_density_counts_only_the_axes_it_spans(self, monkeypatch):
+        # the golden corpus's partially-certified-c4: k = 5, but the c_j are
+        # pinned and b alone spans the lattice, so it takes 33 points on b
+        # (not BOX_SAMPLE_BUDGET^(1/5) = 10), b = 1 among them; Y's lower end
+        # is then x2*exp(x1*(c0 + c1 + c2 + c3)) at the c_j's cut lower ends
+        from test_golden import _corpus
+
+        problem = _corpus()["partially-certified-c4"]
+        widths = {shape[1] for shape in TestVerify._count_evaluations(monkeypatch, problem) if len(shape) == 3}
+        assert 33 in widths and 10 not in widths
+        y = verify(problem).curves[0]
+        assert y.approximate[:, :, :-1].all()
+        c_lo = [sum(alpha_cut(t, alpha).lo for name, t in problem.parameters.components if name != "b")
+                for alpha in y.alpha.tolist()]
+        want = y.x2[None, :, None] * np.exp(y.x1[:, None, None] * np.array(c_lo))
+        assert (np.abs(y.lower - want) <= 1e-15 * want).all()
+
 
 class TestCertifiedRoute:
     """Each table pins the parameters the alpha = 0 certificate proves

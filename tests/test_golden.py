@@ -219,7 +219,7 @@ CORPUS_GOLDEN = {
     ),
     "partially-certified-c4": (
         "c09f20827241f9cb4738a8ce21149b40f5a24c3a268f5ce09b07ee19b2d5ed75",
-        "14b82a2104a27ffcf166699e19385629be2310a0f1b0df32b712df0d0017aa8c",
+        "fbaaba74cb6ffd457ad2ac47ed74ac9b3a5f8ad9f5768ea91ac2fa7ad8b83650",
     ),
     "random-monotone-0": (
         "55679f3b83a382ae29265582e8c706dcc63a4e2f8270249262c0bca6fdc7e747",
