@@ -403,8 +403,8 @@ def _table(los: np.ndarray, his: np.ndarray, density: int, signs: np.ndarray) ->
     max block.  Every other live one spans ``density`` points, ``(1, C, 1)``,
     endpoints included, the first parameter fastest (2 points: the cut-box
     corners; more: a lattice over the spanning parameters, capped at
-    ``BOX_SAMPLE_BUDGET`` points).  A degenerate one is its one
-    value, ``(1, 1, 1)``."""
+    ``BOX_SAMPLE_BUDGET`` points).  A degenerate one is its one value, ``(1,
+    1, 1)``."""
     pinned = (los < his) & signs.all(axis=1)
     spans = (los < his) & ~pinned
     ab = np.stack([los, his], 1)[pinned][:, :, None, None]
@@ -465,8 +465,9 @@ def _extremes(values: np.ndarray, rows=None, allowed=None):
     first = None if one else np.stack([per_end[0].argmin(axis=0), per_end[1].argmax(axis=0)])
     ties = np.zeros(ends.shape, dtype=bool) if one else (per_end == ends[:, None]).sum(axis=1) > 1
     # a pinned or one-value row is its block's; a spanning one is its column's
-    points = np.stack([np.broadcast_to(row[:, 0] if row.shape[1] == 1 else row[0, first, 0], ends.shape)
-                       for row in rows])
+    points = np.empty((len(rows),) + ends.shape)
+    for point, row in zip(points, rows):
+        point[...] = row[:, 0] if row.shape[1] == 1 else row[0, first, 0]
     return ends, ties, points
 
 
@@ -598,8 +599,8 @@ def _gamma_stage(x_partials, names, points, x1, x2, feas, alpha: float, denom_to
     evaluation fails at any sample, the ends are taken again one at a time,
     each failing only where it fails at a feasible sample."""
 
-    def quotient(ends, evaluated: np.ndarray) -> np.ndarray:
-        num, den = (_values(d, names, [p[:, None] for p in ends], x1, x2, evaluated)[:, 0] for d in x_partials)
+    def quotient(ends, fails_at: np.ndarray) -> np.ndarray:
+        num, den = (_values(d, names, [p[:, None] for p in ends], x1, x2, fails_at)[:, 0] for d in x_partials)
         bad = feas & (np.abs(den) < denom_tol)
         if bad.any():
             b, i = np.unravel_index(int(bad.argmax()), bad.shape)
@@ -664,8 +665,8 @@ def _alpha_pass(
     probed = [None if s.all() or not free_variables(d) & set(names) else d for d, s in zip(partials, signs)]
     pins = np.where(signs == 0, np.int8(1), signs)
     parts = ("envelope", "gamma") if candidate else ("envelope",)
-    # alpha-major buffers, lower end then upper: every slice of an end lands
-    # in one contiguous block
+    # alpha-major buffers, lower end then upper: each end's slice is
+    # contiguous
     planes = (alphas.size, ok.size)
     env, approx = np.empty((2,) + planes), np.zeros(planes, dtype=bool)
     if candidate:
@@ -725,8 +726,10 @@ def _alpha_pass(
             try:
                 fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, ok_r)
                 if fb.any():
-                    _, _, fb_ends, _, fb_points = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES, signs_r[:, fb],
-                                                          x1r[fb], x2r[fb], ok_r[fb], candidate)
+                    # fb_values stays bound until the next level's lattice: freed at once, its
+                    # pages go back to the system and every level faults them in again
+                    _, fb_values, fb_ends, _, fb_points = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES,
+                                                                  signs_r[:, fb], x1r[fb], x2r[fb], ok_r[fb], candidate)
                     approx[ki][at] = fb  # the open samples keep their order
                     ends[:, approx[ki]] = fb_ends
                     if candidate:
