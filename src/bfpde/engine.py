@@ -49,9 +49,10 @@ probed over the box center and all the corners, unless it is certified at
 every sample or free of the parameters.  If no parameter shows strictly
 opposite signs, the extremum is attained at a corner and the envelope is
 exact.  Otherwise the sample falls back to a table at lattice density over the
-fallback samples and is flagged approximate.  A sample whose pinned ends tie
-or cross, which only rounding does, loses its pins for that slice (a settled
-one joins the corner route).
+fallback samples and is flagged approximate; a wide lattice goes over runs of
+those samples, so its memory does not grow with them.  A sample whose pinned
+ends tie or cross, which only rounding does, loses its pins for that slice (a
+settled one joins the corner route).
 
 Structure: the least of G is the min block's end of the corner-density tables
 the envelope reads; dG/dx2's least and greatest come from its own table, at
@@ -72,8 +73,8 @@ off the grid.
 
 Gamma: by Danskin's theorem, d(min_p G)/dx = dG/dx at the minimiser (and
 likewise for the max), so Gamma substitutes those points into the symbolic
-partials, each evaluated once per slice over both ends' points, and its values
-are symbolic on every route.
+partials, evaluated at each end's points in turn, and its values are symbolic
+on every route.
 
 Checks that consume approximate samples run at a widened tolerance
 (``FALLBACK_TOL``), since a lattice optimum is only as close to the true one
@@ -474,14 +475,23 @@ def _extremes(values: np.ndarray, rows=None, allowed=None):
 def _reduce(expr: Expression, names, los, his, density: int, signs, x1, x2, feas, with_points: bool):
     """expr's :func:`_table` at ``density`` over a group of samples, its
     values and their :func:`_extremes` (ties and points too if
-    ``with_points``), as ``rows, values, ends, ties, points``.  Where the
-    pinned ends tie or cross, which only rounding does, the sample loses its
-    pins and the group's table is built again, once: a group with such a
-    sample pins nothing."""
+    ``with_points``), as ``rows, values, ends, ties, points``.  A lattice
+    (``density`` > 2) is evaluated and reduced over runs of consecutive
+    samples, each holding at most ``FALLBACK_BOX_SAMPLES`` times
+    ``BOX_SAMPLE_BUDGET`` points of a block (the largest lattice at 33
+    samples), so its memory does not grow with the group; its values are then
+    the last run's.  Where the pinned ends tie or cross, which only rounding
+    does, the sample loses its pins and the group's table is built again,
+    once: a group with such a sample pins nothing."""
     while True:
         rows = _table(los, his, density, signs)
-        values = _values(expr, names, rows, x1, x2, feas)
-        ends, ties, points = _extremes(values, rows if with_points else None)
+        step = FALLBACK_BOX_SAMPLES * BOX_SAMPLE_BUDGET // np.broadcast(*rows).shape[1] if density > 2 else x1.size
+        runs = []
+        for at in (slice(i, i + step) for i in range(0, x1.size, step)):
+            run = [row if row.shape[2] == 1 else row[..., at] for row in rows]
+            values = _values(expr, names, run, x1[at], x2[at], feas[at])
+            runs.append(_extremes(values, run if with_points else None))
+        ends, ties, points = (None if r[0] is None else np.concatenate(r, axis=-1) for r in zip(*runs))
         crossed = len(values) == 2 and ~(ends[0] < ends[1])
         if not np.any(crossed):
             return rows, values, ends, ties, points
@@ -592,26 +602,19 @@ def _gamma_stage(x_partials, names, points, x1, x2, feas, alpha: float, denom_to
     """Gamma's lower and upper end on one slice of ``(q,)`` samples, ``(2,
     q)``.  By Danskin's theorem each envelope end moves with G at the ``(k,
     2, q)`` parameter point attaining it, so its x-partials (``x_partials``,
-    dG/dx1 and dG/dx2) are G's there: each is evaluated once over both ends.
-    Raises :class:`NearZeroDenominatorError` where |dG/dx2| < denom_tol, and
-    :class:`NonFiniteValueError` where Gamma is NaN or infinite, each at the
-    first such feasible sample.  The lower end's failure comes first: where an
-    evaluation fails at any sample, the ends are taken again one at a time,
-    each failing only where it fails at a feasible sample."""
-
-    def quotient(ends, fails_at: np.ndarray) -> np.ndarray:
-        num, den = (_values(d, names, [p[:, None] for p in ends], x1, x2, fails_at)[:, 0] for d in x_partials)
+    dG/dx1 and dG/dx2) are G's there, evaluated one end at a time, the lower
+    end first.  Raises :class:`NearZeroDenominatorError` where |dG/dx2| <
+    denom_tol, and :class:`NonFiniteValueError` where Gamma is NaN or
+    infinite, each at the first such feasible sample."""
+    gamma = np.empty((2, x1.size))
+    for end, point in zip(gamma, points.swapaxes(0, 1)):
+        num, den = (_values(d, names, point[:, None, None], x1, x2, feas)[0, 0] for d in x_partials)
         bad = feas & (np.abs(den) < denom_tol)
         if bad.any():
-            b, i = np.unravel_index(int(bad.argmax()), bad.shape)
-            raise NearZeroDenominatorError(float(x1[i]), float(x2[i]), alpha, float(den[b, i]))
+            i = int(bad.argmax())
+            raise NearZeroDenominatorError(float(x1[i]), float(x2[i]), alpha, float(den[i]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.divide(num, den)
-
-    try:
-        gamma = quotient(points, np.ones_like(feas))
-    except EvalError:
-        gamma = np.concatenate([quotient(points[:, b:b + 1], feas) for b in range(2)])
+            np.divide(num, den, out=end)
     error = _non_finite({"lower Gamma": gamma[0], "upper Gamma": gamma[1]}, feas, x1, x2, alpha)
     if error is not None:
         raise error
@@ -726,8 +729,8 @@ def _alpha_pass(
             try:
                 fb = _sign_fallback(probed, names, los, his_e, x1r, x2r, ok_r)
                 if fb.any():
-                    # fb_values stays bound until the next level's lattice: freed at once, its
-                    # pages go back to the system and every level faults them in again
+                    # fb_values (the last run's) stays bound until the next level's lattice: freed at
+                    # once, its pages go back to the system and every level faults them in again
                     _, fb_values, fb_ends, _, fb_points = _reduce(expr, names, los, his_e, FALLBACK_BOX_SAMPLES,
                                                                   signs_r[:, fb], x1r[fb], x2r[fb], ok_r[fb], candidate)
                     approx[ki][at] = fb  # the open samples keep their order

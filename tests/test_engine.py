@@ -630,17 +630,17 @@ class TestVerify:
         # value from those tables, and dG/dx2 = x1^beta from its own table,
         # which spans beta (uncertified on the row), at every sample at
         # alpha = 0 and on the row above it.  Gamma's numerator and
-        # denominator are each evaluated once per level at both ends' points,
-        # on every sample of the 11 levels.  Every group is a flat list of
-        # samples: the 441 of a slice or the row's 21.
+        # denominator are each evaluated once per end per level, at that
+        # end's points, on every sample of the 11 levels.  Every group is a
+        # flat list of samples: the 441 of a slice or the row's 21.
         calls = self._count_evaluations(monkeypatch, worked_problem())
         assert Counter(calls) == {
-            (2, 1, 441): 2 * 10 + 2 * 11,  # G and F on the certified route below alpha = 1; Gamma
+            (2, 1, 441): 2 * 10,  # G and F on the certified route below alpha = 1
             (1, 2, 441): 1,  # dG/dx2's table at alpha = 0
             # the row's table, probe and tie-break below alpha = 1, and
             # dG/dx2's table on the row between alpha = 0 and 1
             (2, 2, 21): 10, (1, 5, 21): 10, (1, 2, 21): 2 * 10 + 9,
-            (1, 1, 441): 2,  # G and F at alpha = 1, where every cut is a point
+            (1, 1, 441): 2 + 4 * 11,  # G and F at alpha = 1, where every cut is a point; Gamma
             (1, 1, 21): 1 + 1,  # the row at alpha = 1: G's table and dG/dx2's
         }
 
@@ -1701,6 +1701,38 @@ class TestPinnedLattice:
                 for alpha in y.alpha.tolist()]
         want = y.x2[None, :, None] * np.exp(y.x1[:, None, None] * np.array(c_lo))
         assert (np.abs(y.lower - want) <= 1e-15 * want).all()
+
+    def test_a_wide_lattice_goes_over_runs_of_samples(self, monkeypatch):
+        # a lattice is evaluated over runs of samples, each holding at most
+        # FALLBACK_BOX_SAMPLES * BOX_SAMPLE_BUDGET points of a block, so its
+        # memory does not grow with its group; with the bound cut to 1e5, the
+        # 200 samples of a 33 x 33 lattice (1089 columns, two pinned c's
+        # beside it) go in runs of 91, 91 and 18, and every end, tie and point
+        # stays the one-run table's, bit for bit
+        names = ("b0", "b1", "c0", "c1")
+        expr = parse("x2*exp(x1*((b0 - 1)^2 + (b1 - 1)^2 + c0 + c1))", names)
+        los, his = np.array([0.7, 0.7, 0.01, 0.01]), np.array([1.3, 1.3, 0.03, 0.03])
+        rng = np.random.default_rng(7)
+        x1, x2, feas = rng.uniform(0.5, 1.5, 200), rng.uniform(0.1, 2.0, 200), np.ones(200, dtype=bool)
+        signs = np.repeat(np.array([[0], [0], [1], [1]], dtype=np.int8), 200, axis=1)
+        signs[3, 1::2] = -1  # c1's pinned ends differ from sample to sample
+        whole = bfpde.engine._reduce(expr, names, los, his, 33, signs, x1, x2, feas, True)[2:]
+        shapes = []
+        original = bfpde.engine.evaluate
+
+        def recording(e, binding):
+            value = original(e, binding)
+            shapes.append(np.shape(value))
+            return value
+
+        monkeypatch.setattr(bfpde.engine, "evaluate", recording)
+        monkeypatch.setattr(bfpde.engine, "FALLBACK_BOX_SAMPLES", 1)
+        runs = bfpde.engine._reduce(expr, names, los, his, 33, signs, x1, x2, feas, True)[2:]
+        assert shapes == [(2, 1089, 91), (2, 1089, 91), (2, 1089, 18)]
+        assert whole[1].any()  # the max ties at b = 0.7 and 1.3
+        for got, want in zip(runs, whole):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype and (got.dtype == bool or (got.view(np.int64) == want.view(np.int64)).all())
 
 
 class TestCertifiedRoute:
